@@ -315,3 +315,43 @@ fn micro_benchmark_storage_orderings_match_the_paper() {
     };
     assert!(bytes_for(StorageStrategy::full_one()) < bytes_for(StorageStrategy::full_many()));
 }
+
+#[test]
+fn astronomy_full_both_capture_keeps_every_index_key_inline() {
+    // The kv backends keep a record's key inside its index bucket only while
+    // it fits `INLINE_KEY` bytes; a longer one falls back to the heap — one
+    // `malloc` per stored record, the cost the capture path was rid of.
+    // FullBoth (Table II) emits every key shape the encoder has: entry ids,
+    // output cells, tagged input cells.
+    let cfg = SkyConfig::tiny();
+    let (e1, e2) = SkyGenerator::new(cfg).generate();
+    let wf = AstronomyWorkflow::build(cfg.shape);
+    let inputs = AstronomyWorkflow::inputs(e1, e2);
+    let mut strategy = LineageStrategy::new();
+    for node in wf.workflow.nodes() {
+        strategy.set(
+            node.id,
+            vec![
+                StorageStrategy::full_one(),
+                StorageStrategy::full_one_forward(),
+            ],
+        );
+    }
+    let mut sz = SubZero::new();
+    sz.set_strategy(strategy);
+    let run = sz.execute(&wf.workflow, &inputs).expect("capture");
+    let mut keys = 0usize;
+    for node in wf.workflow.nodes() {
+        for ds in sz.runtime_mut().datastores(run.run_id, node.id) {
+            for (key, _) in ds.snapshot() {
+                assert!(
+                    key.len() <= subzero_store::kv::INLINE_KEY,
+                    "a {}-byte key took the heap fallback",
+                    key.len()
+                );
+                keys += 1;
+            }
+        }
+    }
+    assert!(keys > 0, "the capture stored nothing");
+}

@@ -72,10 +72,10 @@ pub struct LookupOutcome {
 ///
 /// Cell-record merges are pure appends (entry-id lists, payload lists), so
 /// the staged values are *deltas*, not full records: nothing is read from
-/// the database while staging, and the flush applies every delta with one
-/// [`Database::merge_append_batch`] group write — one table probe per
-/// distinct key, no value clones, and exactly the bytes the per-pair path's
-/// read-modify-write sequence would have left behind.
+/// the database while staging, and the batch's single group write
+/// ([`Database::write_group`]) applies every delta behind the entry bodies —
+/// one table probe per distinct key, no value clones, and exactly the bytes
+/// the per-pair path's read-modify-write sequence would have left behind.
 /// Bytes of staged delta stored inline in a [`KeyInterner`] slot.  An
 /// entry-id varint is 1-3 bytes at realistic scales, so the inline buffer
 /// absorbs several touches of a key without any heap allocation; payload
@@ -168,17 +168,13 @@ impl KeyInterner {
         self.slots[slot].append(&self.scratch);
     }
 
-    /// Applies every staged delta with one group write.
-    fn flush(self, db: &mut Database) {
-        if self.slots.is_empty() {
-            return;
-        }
-        let items: Vec<(&[u8], &[u8])> = self
-            .slots
+    /// Every staged `(key, delta)`, in first-touch order: the `appends` half
+    /// of the batch's group write.
+    fn deltas(&self) -> Vec<(&[u8], &[u8])> {
+        self.slots
             .iter()
             .map(|slot| (self.keys.get(slot.key), slot.delta()))
-            .collect();
-        db.merge_append_batch(&items);
+            .collect()
     }
 }
 
@@ -266,9 +262,10 @@ fn cache_shards<T>(
 /// Ingestion is batch-oriented: the runtime hands whole
 /// [`RegionBatch`](subzero_engine::RegionBatch)es of pairs to
 /// [`store_batch`](OpDatastore::store_batch), which encodes the
-/// batch (in parallel on multi-core hosts), writes hash entries with one
-/// group-flushed [`put_batch`](Database::put_batch), coalesces key-collision
-/// merges per batch, and *stages* spatial-index entries instead of inserting
+/// batch (in parallel on multi-core hosts), coalesces key-collision merges
+/// per batch, writes entries and merges with one
+/// [`write_group`](Database::write_group), and *stages* spatial-index
+/// entries instead of inserting
 /// them one by one — the R-tree is bulk-loaded (STR-packed) lazily before the
 /// first lookup.  The per-pair [`store_pair`](OpDatastore::store_pair) path
 /// is kept as the reference implementation; both paths produce byte-identical
@@ -299,6 +296,10 @@ pub struct OpDatastore {
     full_caches: Vec<EntryCache<FullEntry>>,
     /// As [`full_caches`](Self::full_caches), for payload entries.
     pay_caches: Vec<EntryCache<PayEntry>>,
+    /// `(log stamp, next entry id, pairs, cells)` the sidecar file on disk
+    /// was last written for; a repeat `finish_ingest` with nothing new (the
+    /// commit path finishes a run twice) skips the rewrite.
+    sidecar_written: Option<(u64, u64, u64, u64)>,
 }
 
 impl OpDatastore {
@@ -327,6 +328,7 @@ impl OpDatastore {
             workers: parallel::default_workers(),
             full_caches: Vec::new(),
             pay_caches: Vec::new(),
+            sidecar_written: None,
         };
         // A non-empty file backend means this datastore is being *reopened*
         // (daemon restart, crash recovery): restore the spatial index and
@@ -561,14 +563,12 @@ impl OpDatastore {
     /// * each worker thread serialises its contiguous shard of the batch
     ///   into one arena (entry bodies back-to-back, cell keys packed as
     ///   integers — no per-record allocations, no locks on the hot path);
-    /// * all entry records are written zero-copy from the arena slices with
-    ///   one group-flushed [`put_batch_slices`](Database::put_batch_slices);
     /// * repeated cell keys are dedup'd *before they reach the kv table* by
-    ///   a per-batch interning table (`KeyInterner`), and the coalesced
-    ///   append deltas are applied with one
-    ///   [`merge_append_batch`](Database::merge_append_batch) group write —
-    ///   one table probe per distinct key instead of a read-modify-write
-    ///   per pair;
+    ///   a per-batch interning table (`KeyInterner`) — one table probe per
+    ///   distinct key instead of a read-modify-write per pair;
+    /// * the entry records and the coalesced append deltas go to the backend
+    ///   zero-copy from the arena slices as one
+    ///   [`write_group`](Database::write_group) — one log write per batch;
     /// * spatial-index entries are staged for deferred STR bulk loading
     ///   instead of being inserted (and split) one at a time.
     pub fn store_batch(&mut self, pairs: &[RegionPair], workers: usize) {
@@ -707,8 +707,8 @@ impl OpDatastore {
         });
 
         // Serial phase: dedup the cell-record keys, stage the spatial-index
-        // entries, then hand the batch to the backend as two zero-copy group
-        // writes over the arena slices — the entry bodies, and the coalesced
+        // entries, then hand the batch to the backend as one zero-copy group
+        // write over the arena slices — the entry bodies, then the coalesced
         // cell-record deltas.
         let (entry_keys, entry_key_spans) = entry_key_arena(base_id, work.len());
         let total_keys: usize = shards.iter().map(|s| s.keys.len()).sum();
@@ -736,8 +736,7 @@ impl OpDatastore {
                 i += 1;
             }
         }
-        self.db.put_batch_slices(&records);
-        interner.flush(&mut self.db);
+        self.db.write_group(&records, &interner.deltas());
     }
 
     fn store_pay_batch(&mut self, pairs: &[RegionPair], workers: usize) {
@@ -780,7 +779,7 @@ impl OpDatastore {
                         interner.append_with(key, |v| encoder::append_payload(v, payload));
                     }
                 }
-                interner.flush(&mut self.db);
+                self.db.merge_append_batch(&interner.deltas());
             }
             Granularity::Many => {
                 let base_id = self.next_entry_id;
@@ -910,11 +909,22 @@ impl OpDatastore {
         let Some(path) = self.sidecar_path() else {
             return;
         };
+        // Every change to the index or the counters comes with a log append
+        // (or a compaction), which moves the stamp.
+        let state = (
+            self.db.persist_stamp(),
+            self.next_entry_id,
+            self.pairs_stored,
+            self.cells_stored,
+        );
+        if self.sidecar_written == Some(state) {
+            return;
+        }
         self.ensure_spatial_index();
         let mut buf = Vec::new();
         buf.extend_from_slice(&SIDECAR_MAGIC);
         buf.push(SIDECAR_VERSION);
-        buf.extend_from_slice(&encode_fixed_u64(self.db.persist_stamp()));
+        buf.extend_from_slice(&encode_fixed_u64(state.0));
         write_varint(&mut buf, self.next_entry_id);
         write_varint(&mut buf, self.pairs_stored);
         write_varint(&mut buf, self.cells_stored);
@@ -925,11 +935,12 @@ impl OpDatastore {
             }
             None => buf.push(0),
         }
-        if let Err(e) = std::fs::write(&path, &buf) {
-            eprintln!(
+        match std::fs::write(&path, &buf) {
+            Ok(()) => self.sidecar_written = Some(state),
+            Err(e) => eprintln!(
                 "subzero: failed to write spatial-index sidecar {}: {e}",
                 path.display()
-            );
+            ),
         }
     }
 
@@ -2517,6 +2528,39 @@ mod tests {
                 "strategy {strategy}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sidecar_is_rewritten_only_when_the_store_changed() {
+        let dir = std::env::temp_dir().join(format!("subzero-ds-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = meta();
+        let path = dir.join("skip.kv");
+        let sidecar = dir.join("skip.kv.idx");
+        let mut ds = reopen(&path, StorageStrategy::full_one(), &m);
+        ds.store_batch(&high_dup_pairs(), 1);
+        ds.finish_ingest();
+        let first = std::fs::read(&sidecar).unwrap();
+        // The commit path finishes a run twice; with nothing new the second
+        // pass must not touch the file (deleted here to make a write visible).
+        std::fs::remove_file(&sidecar).unwrap();
+        ds.finish_ingest();
+        assert!(!sidecar.exists(), "unchanged store rewrote its sidecar");
+        // New lineage and a compaction both move the stamp: rewritten.
+        ds.store_batch(&high_dup_pairs(), 1);
+        ds.finish_ingest();
+        let second = std::fs::read(&sidecar).unwrap();
+        assert_ne!(first, second);
+        assert!(ds.compact().unwrap() > 0, "delta chains to fold");
+        assert_ne!(std::fs::read(&sidecar).unwrap(), second);
+        let cells = ds.cells_stored;
+        drop(ds);
+        // The rewritten sidecar describes the dense log: a reopen loads it
+        // (a rebuild from the log undercounts FullOne's cells).
+        let back = reopen(&path, StorageStrategy::full_one(), &m);
+        assert_eq!(back.cells_stored, cells);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

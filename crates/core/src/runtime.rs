@@ -488,18 +488,27 @@ impl Runtime {
         let Some(wal) = self.wal.as_mut() else {
             return Ok(0);
         };
-        let mut files = Vec::new();
-        for ((r, _), stores) in self.datastores.iter_mut() {
-            if *r != run_id {
-                continue;
-            }
-            for ds in stores.iter_mut() {
-                ds.sync()?;
-                if let Some(file) = ds.commit_file() {
-                    files.push(file);
-                }
-            }
+        // fsync is I/O wait, so the run's stores sync in one lane per worker;
+        // every lane has joined (every sync has returned) before the prepare
+        // record below may name a length as durable.
+        let mut stores: Vec<&mut OpDatastore> = self
+            .datastores
+            .iter_mut()
+            .filter(|((r, _), _)| *r == run_id)
+            .flat_map(|(_, stores)| stores.iter_mut())
+            .collect();
+        let lane_len = stores.len().div_ceil(self.workers.max(1)).max(1);
+        let mut lanes: Vec<_> = stores
+            .chunks_mut(lane_len)
+            .map(|lane| (lane, Ok(())))
+            .collect();
+        parallel::for_each_mut(&mut lanes, self.workers > 1, |_, (lane, result)| {
+            *result = lane.iter_mut().try_for_each(|ds| ds.sync());
+        });
+        for (_, result) in lanes {
+            result?;
         }
+        let files = stores.iter().filter_map(|ds| ds.commit_file()).collect();
         let txn = wal.next_txn();
         failpoint::crash_if_armed(failpoint::PRE_PREPARE);
         wal.append_record(WalRecord::Prepare { txn, files })?;

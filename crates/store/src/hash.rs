@@ -15,7 +15,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// FxHash-style hasher: `state = (state.rotate_left(5) ^ word) * SEED` per
-/// 8-byte chunk, with the tail padded into one final word.
+/// 8-byte chunk, with the tail folded into one final word.
 #[derive(Default, Clone)]
 pub struct FxHasher {
     state: u64,
@@ -44,9 +44,20 @@ impl Hasher for FxHasher {
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.mix(u64::from_le_bytes(buf));
+            // A tail shorter than a word is read as the *last* 8 bytes,
+            // overlapping the previous chunk, when the input has that many:
+            // the same information as zero-padding it, without the
+            // variable-length copy (which costs more than the rest of the
+            // hash on the 9-10 byte lineage keys).
+            let word = match bytes.last_chunk::<8>() {
+                Some(tail) => u64::from_le_bytes(*tail),
+                None => {
+                    let mut buf = [0u8; 8];
+                    buf[..rem.len()].copy_from_slice(rem);
+                    u64::from_le_bytes(buf)
+                }
+            };
+            self.mix(word);
         }
         // Fold the length in so prefixes hash differently from their
         // zero-padded extensions.

@@ -14,8 +14,11 @@
 //!   aggregate storage statistics, which the benchmarks report as the "disk
 //!   cost" of a lineage strategy.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -29,6 +32,86 @@ pub type KvPair = (Vec<u8>, Vec<u8>);
 /// One borrowed `(key, value)` record, as streamed zero-copy by
 /// [`KvBackend::scan_slices`].
 pub type KvRef<'a> = (&'a [u8], &'a [u8]);
+
+/// Longest key an `IndexKey` holds inline.  Every key the lineage encoder
+/// emits is at most 10 bytes; 14 makes the key two words, so a file-index
+/// bucket is 32 bytes — index memory is first-touch (page-fault and
+/// cache-miss) bound during capture.  Public only so the allocation-guard
+/// test can assert no captured key outgrows it (one that did would bring
+/// back a `malloc` per stored record).
+#[doc(hidden)]
+pub const INLINE_KEY: usize = 14;
+
+/// Map key of the backends' tables: the key bytes stored in the table
+/// bucket itself (no allocation, no pointer chase on compare) while they fit
+/// [`INLINE_KEY`] bytes, boxed otherwise (twice, to keep the pointer thin
+/// and the type at two words).  Hashes and compares as its byte string and
+/// borrows as `[u8]`, so lookups take a plain `&[u8]` and never build a key.
+#[derive(Clone, Debug)]
+enum IndexKey {
+    /// `bytes[..len]` is the key; the tail is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY],
+    },
+    Heap(Box<Box<[u8]>>),
+}
+
+impl IndexKey {
+    fn new(key: &[u8]) -> Self {
+        let n = key.len();
+        if n > INLINE_KEY {
+            return IndexKey::Heap(Box::new(key.into()));
+        }
+        // Two fixed-width loads — the first and the last 8 bytes, the latter
+        // shifted to where it belongs (the overlap rewrites equal bytes) —
+        // instead of a variable-length copy: that is a `memcpy` call per
+        // stored record, and measurable on the capture path.
+        let word = |chunk: &[u8; 8]| u128::from(u64::from_le_bytes(*chunk));
+        let packed = match (key.first_chunk(), key.last_chunk()) {
+            (Some(head), Some(tail)) => word(head) | (word(tail) << (8 * (n - 8))),
+            _ => {
+                let mut short = [0u8; 8];
+                short[..n].copy_from_slice(key);
+                word(&short)
+            }
+        };
+        let mut bytes = [0u8; INLINE_KEY];
+        bytes.copy_from_slice(&packed.to_le_bytes()[..INLINE_KEY]);
+        IndexKey::Inline {
+            len: n as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            IndexKey::Inline { len, bytes } => &bytes[..*len as usize],
+            IndexKey::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for IndexKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+// `Borrow<[u8]>` obliges `Hash`/`Eq` to agree with the byte string's.
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for IndexKey {}
 
 /// How [`FileBackend`] physically serves full scans and point reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,9 +269,9 @@ pub trait KvBackend: Send + Sync {
     /// This is the flush half of write-side key dedup: batched writers stage
     /// append-only deltas per *distinct* key and apply them all at once, so
     /// the backing table is probed once per key instead of the
-    /// read-clone-modify-write of per-record merges.  Keys must be distinct
-    /// within one call (the dedup table guarantees that); behaviour for
-    /// repeated keys is backend-specific.
+    /// read-clone-modify-write of per-record merges.  Items apply in order,
+    /// so a key repeated within one call accumulates its appends (the dedup
+    /// table never repeats one).
     fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
         for &(key, append) in items {
             let mut value = self.get(key).unwrap_or_default();
@@ -196,6 +279,16 @@ pub trait KvBackend: Send + Sync {
             self.put(key, &value);
         }
         self.flush().expect("group flush");
+    }
+
+    /// Applies one ingest batch as a single group write: `puts` as by
+    /// [`put_batch_slices`](KvBackend::put_batch_slices), then `appends` as
+    /// by [`merge_append_batch`](KvBackend::merge_append_batch) (an append
+    /// to a key the same call put extends the put value).  The file backend
+    /// serialises both halves into one buffer — one log write, one remap.
+    fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
+        self.put_batch_slices(puts);
+        self.merge_append_batch(appends);
     }
 
     /// Streams every live `(key, value)` pair through `visit` in blocks of up
@@ -258,7 +351,7 @@ fn scan_blocks(iter: impl Iterator<Item = KvPair>, block: usize, visit: &mut dyn
 /// it guards (see `BENCH_ingest.json` for the measured effect).
 #[derive(Default, Debug)]
 pub struct MemBackend {
-    map: FxHashMap<Vec<u8>, Vec<u8>>,
+    map: FxHashMap<IndexKey, Vec<u8>>,
     bytes: usize,
 }
 
@@ -267,16 +360,21 @@ impl MemBackend {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl KvBackend for MemBackend {
-    fn put(&mut self, key: &[u8], value: &[u8]) {
-        if let Some(old) = self.map.insert(key.to_vec(), value.to_vec()) {
+    /// Inserts or replaces one owned value, keeping the byte count.
+    fn insert(&mut self, key: &[u8], value: Vec<u8>) {
+        self.bytes += value.len();
+        if let Some(old) = self.map.insert(IndexKey::new(key), value) {
             self.bytes -= old.len();
         } else {
             self.bytes += key.len();
         }
-        self.bytes += value.len();
+    }
+}
+
+impl KvBackend for MemBackend {
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        self.insert(key, value.to_vec());
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -292,7 +390,11 @@ impl KvBackend for MemBackend {
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = (Vec<u8>, Vec<u8>)> + '_> {
-        Box::new(self.map.iter().map(|(k, v)| (k.clone(), v.clone())))
+        Box::new(
+            self.map
+                .iter()
+                .map(|(k, v)| (k.as_slice().to_vec(), v.clone())),
+        )
     }
 
     fn bytes_used(&self) -> usize {
@@ -306,30 +408,19 @@ impl KvBackend for MemBackend {
     fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
         self.map.reserve(items.len());
         for (key, value) in items {
-            // Move the owned buffers straight into the table — the batch
-            // path's win over repeated `put` calls is skipping these copies.
-            let key_len = key.len();
-            self.bytes += value.len();
-            if let Some(old) = self.map.insert(key, value) {
-                self.bytes -= old.len();
-            } else {
-                self.bytes += key_len;
-            }
+            // Move the owned value straight into the table — the batch
+            // path's win over repeated `put` calls is skipping that copy.
+            self.insert(&key, value);
         }
     }
 
     fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        // The table must own its keys and values, so each slice is copied
-        // exactly once, straight into its final allocation — the arena writer
-        // never allocated per-record buffers to move from.
+        // The table must own its values, so each slice is copied exactly
+        // once, straight into its final allocation — the arena writer never
+        // allocated per-record buffers to move from.
         self.map.reserve(items.len());
         for &(key, value) in items {
-            self.bytes += value.len();
-            if let Some(old) = self.map.insert(key.to_vec(), value.to_vec()) {
-                self.bytes -= old.len();
-            } else {
-                self.bytes += key.len();
-            }
+            self.insert(key, value.to_vec());
         }
     }
 
@@ -338,46 +429,15 @@ impl KvBackend for MemBackend {
         // place, misses insert the delta as the whole value.  Reserving up
         // front keeps the whole group write out of rehash growth.
         self.map.reserve(items.len());
-        // The contract makes the keys distinct, so application order is
-        // free — use it for locality: probing a big table in random order is
-        // a cache miss per key, so when the flush covers a dense share of
-        // the table, visit the keys in (estimated) bucket order instead,
-        // turning the flush into a near-sequential sweep.  The table indexes
-        // buckets by the low hash bits, and the estimate below mirrors the
-        // 7/8-load power-of-two sizing the `reserve` above just applied, so
-        // it is normally exact; a misestimate by a factor of 2^k only splits
-        // the sweep into 2^k interleaved passes (weaker locality, identical
-        // results — keys are distinct, so per-key appends are independent).
-        // A sparse flush (few keys scattered over a big table) gains no
-        // adjacency from sorting, so it skips straight to application.
-        use std::hash::BuildHasher;
-        let dense = items.len() * 8 >= self.map.len();
-        let mut apply = |map: &mut FxHashMap<Vec<u8>, Vec<u8>>, key: &[u8], append: &[u8]| {
-            if let Some(value) = map.get_mut(key) {
-                value.extend_from_slice(append);
-                self.bytes += append.len();
-            } else {
-                map.insert(key.to_vec(), append.to_vec());
-                self.bytes += key.len() + append.len();
+        for &(key, append) in items {
+            match self.map.entry(IndexKey::new(key)) {
+                Entry::Occupied(mut e) => e.get_mut().extend_from_slice(append),
+                Entry::Vacant(e) => {
+                    e.insert(append.to_vec());
+                    self.bytes += key.len();
+                }
             }
-        };
-        if dense {
-            let buckets = ((self.map.len() + items.len()) * 8 / 7).next_power_of_two();
-            let mask = (buckets.max(1) as u64) - 1;
-            let mut order: Vec<(u64, u32)> = items
-                .iter()
-                .enumerate()
-                .map(|(i, (key, _))| (self.map.hasher().hash_one(*key) & mask, i as u32))
-                .collect();
-            order.sort_unstable();
-            for (_, i) in order {
-                let (key, append) = items[i as usize];
-                apply(&mut self.map, key, append);
-            }
-        } else {
-            for &(key, append) in items {
-                apply(&mut self.map, key, append);
-            }
+            self.bytes += append.len();
         }
     }
 
@@ -386,7 +446,7 @@ impl KvBackend for MemBackend {
         // no per-record clones, unlike the iter-driven default.
         let block = block.max(1);
         let mut refs: Vec<(&[u8], &[u8])> = Vec::with_capacity(block);
-        for (k, v) in self.map.iter() {
+        for (k, v) in &self.map {
             refs.push((k.as_slice(), v.as_slice()));
             if refs.len() == block {
                 visit(&refs);
@@ -396,6 +456,42 @@ impl KvBackend for MemBackend {
         if !refs.is_empty() {
             visit(&refs);
         }
+    }
+}
+
+/// The file backend's index: key -> (offset of the value bytes, value
+/// length).
+type LogIndex = FxHashMap<IndexKey, (u64, u32)>;
+
+/// Parses the log record starting at `*pos` and advances past it, returning
+/// its key and value; `None` (with `*pos` untouched) when the bytes left
+/// hold no complete record — the end of the log, or a torn tail.
+fn next_record<'b>(buf: &'b [u8], pos: &mut usize) -> Option<(&'b [u8], &'b [u8])> {
+    let mut at = *pos;
+    let klen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
+    let vlen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
+    let value_at = at.checked_add(klen)?;
+    let end = value_at.checked_add(vlen)?;
+    if end > buf.len() {
+        return None;
+    }
+    *pos = end;
+    Some((&buf[at..value_at], &buf[value_at..end]))
+}
+
+/// Appends a record's `[key_len][value_len][key]` prefix to `buf`.
+fn write_record_prefix(buf: &mut Vec<u8>, key: &[u8], value_len: usize) {
+    write_varint(buf, key.len() as u64);
+    write_varint(buf, value_len as u64);
+    buf.extend_from_slice(key);
+}
+
+/// Points `key` at a freshly appended value, keeping the live-byte count.
+fn index_put(index: &mut LogIndex, live_bytes: &mut usize, key: &[u8], off: u64, len: usize) {
+    *live_bytes += len;
+    match index.insert(IndexKey::new(key), (off, len as u32)) {
+        Some((_, old_len)) => *live_bytes -= old_len as usize,
+        None => *live_bytes += key.len(),
     }
 }
 
@@ -416,10 +512,10 @@ pub struct FileBackend {
     /// lookup shards, capture flusher threads — never serialise on a lock.
     reader: File,
     /// key -> (offset of the value bytes, value length)
-    index: FxHashMap<Vec<u8>, (u64, u32)>,
+    index: LogIndex,
     /// Values written since the last flush; served from memory because the
     /// buffered writer may not have reached the file yet.
-    pending: FxHashMap<Vec<u8>, Vec<u8>>,
+    pending: FxHashMap<IndexKey, Vec<u8>>,
     /// Logical bytes (live keys + values).
     live_bytes: usize,
     /// Next append offset.
@@ -446,33 +542,14 @@ impl FileBackend {
         if path.exists() {
             File::open(path)?.read_to_end(&mut existing)?;
         }
-        let mut index = FxHashMap::default();
+        // Everything past the last complete record is a torn tail (e.g. a
+        // crash mid-append) and is ignored.
+        let mut index = LogIndex::default();
         let mut live_bytes = 0usize;
         let mut pos = 0usize;
-        while pos < existing.len() {
-            let record_start = pos;
-            let Ok(klen) = read_varint(&existing, &mut pos) else {
-                break;
-            };
-            let Ok(vlen) = read_varint(&existing, &mut pos) else {
-                break;
-            };
-            let klen = klen as usize;
-            let vlen = vlen as usize;
-            if pos + klen + vlen > existing.len() {
-                // Truncated trailing record (e.g. crash mid-append): ignore it.
-                pos = record_start;
-                break;
-            }
-            let key = existing[pos..pos + klen].to_vec();
-            let value_off = (pos + klen) as u64;
-            if let Some((_, old_len)) = index.insert(key.clone(), (value_off, vlen as u32)) {
-                live_bytes -= old_len as usize;
-            } else {
-                live_bytes += klen;
-            }
-            live_bytes += vlen;
-            pos += klen + vlen;
+        while let Some((key, value)) = next_record(&existing, &mut pos) {
+            let value_off = (pos - value.len()) as u64;
+            index_put(&mut index, &mut live_bytes, key, value_off, value.len());
         }
         let write_offset = pos as u64;
         let file = OpenOptions::new()
@@ -552,6 +629,14 @@ impl FileBackend {
         }
     }
 
+    /// Whether the record whose value sits at `value_off` is the live one for
+    /// `key` (not superseded by a later append).
+    fn is_live(&self, key: &[u8], value_off: u64, value_len: usize) -> bool {
+        self.index
+            .get(key)
+            .is_some_and(|&(off, len)| off == value_off && len as usize == value_len)
+    }
+
     /// Parses every *complete* record in `buf` (whose first byte sits at
     /// absolute log offset `base`), emitting live records as blocks of
     /// borrowed `(key, value)` slices; superseded records are dropped by
@@ -567,32 +652,14 @@ impl FileBackend {
     ) -> usize {
         let mut refs: Vec<(&'b [u8], &'b [u8])> = Vec::with_capacity(block);
         let mut pos = 0usize;
-        loop {
-            let record_start = pos;
-            let (Ok(klen), Ok(vlen)) = (read_varint(buf, &mut pos), read_varint(buf, &mut pos))
-            else {
-                pos = record_start;
-                break;
-            };
-            let (klen, vlen) = (klen as usize, vlen as usize);
-            if pos + klen + vlen > buf.len() {
-                pos = record_start;
-                break;
-            }
-            let key = &buf[pos..pos + klen];
-            let value_off = base + (pos + klen) as u64;
-            let live = self
-                .index
-                .get(key)
-                .is_some_and(|&(off, len)| off == value_off && len as usize == vlen);
-            if live {
-                refs.push((key, &buf[pos + klen..pos + klen + vlen]));
+        while let Some((key, value)) = next_record(buf, &mut pos) {
+            if self.is_live(key, base + (pos - value.len()) as u64, value.len()) {
+                refs.push((key, value));
                 if refs.len() == block {
                     visit(&refs);
                     refs.clear();
                 }
             }
-            pos += klen + vlen;
         }
         if !refs.is_empty() {
             visit(&refs);
@@ -636,26 +703,22 @@ fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result
 
 impl KvBackend for FileBackend {
     fn put(&mut self, key: &[u8], value: &[u8]) {
-        let mut header = Vec::with_capacity(10);
-        write_varint(&mut header, key.len() as u64);
-        write_varint(&mut header, value.len() as u64);
-        let value_off = self.write_offset + header.len() as u64 + key.len() as u64;
+        let mut prefix = Vec::with_capacity(key.len() + 20);
+        write_record_prefix(&mut prefix, key, value.len());
+        let value_off = self.write_offset + prefix.len() as u64;
         // Lineage storage is best-effort (a cache); treat I/O errors as fatal
         // for the process rather than corrupting the index silently.
-        self.writer.write_all(&header).expect("lineage log write");
-        self.writer.write_all(key).expect("lineage log write");
+        self.writer.write_all(&prefix).expect("lineage log write");
         self.writer.write_all(value).expect("lineage log write");
         self.write_offset = value_off + value.len() as u64;
-        if let Some((_, old_len)) = self
-            .index
-            .insert(key.to_vec(), (value_off, value.len() as u32))
-        {
-            self.live_bytes -= old_len as usize;
-        } else {
-            self.live_bytes += key.len();
-        }
-        self.live_bytes += value.len();
-        self.pending.insert(key.to_vec(), value.to_vec());
+        index_put(
+            &mut self.index,
+            &mut self.live_bytes,
+            key,
+            value_off,
+            value.len(),
+        );
+        self.pending.insert(IndexKey::new(key), value.to_vec());
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -691,7 +754,7 @@ impl KvBackend for FileBackend {
         Box::new(
             self.index
                 .keys()
-                .filter_map(move |k| self.get(k).map(|v| (k.clone(), v))),
+                .filter_map(move |k| self.get(k.as_slice()).map(|v| (k.as_slice().to_vec(), v))),
         )
     }
 
@@ -742,35 +805,21 @@ impl KvBackend for FileBackend {
             .truncate(true)
             .open(&staging_path)?;
         let mut dense = BufWriter::new(staging);
-        let mut new_index: FxHashMap<Vec<u8>, (u64, u32)> = FxHashMap::default();
+        let mut new_index = LogIndex::default();
+        new_index.reserve(self.index.len());
         let mut new_offset = 0u64;
         let mut pos = 0usize;
-        while pos < raw.len() {
+        loop {
             let record_start = pos;
-            let (Ok(klen), Ok(vlen)) = (read_varint(&raw, &mut pos), read_varint(&raw, &mut pos))
-            else {
+            let Some((key, value)) = next_record(&raw, &mut pos) else {
                 break;
             };
-            let (klen, vlen) = (klen as usize, vlen as usize);
-            if pos + klen + vlen > raw.len() {
-                break;
+            if self.is_live(key, (pos - value.len()) as u64, value.len()) {
+                dense.write_all(&raw[record_start..pos])?;
+                new_offset += (pos - record_start) as u64;
+                let loc = (new_offset - value.len() as u64, value.len() as u32);
+                new_index.insert(IndexKey::new(key), loc);
             }
-            let key = &raw[pos..pos + klen];
-            let value_off = (pos + klen) as u64;
-            let live = self
-                .index
-                .get(key)
-                .is_some_and(|&(off, len)| off == value_off && len as usize == vlen);
-            if live {
-                let header_len = pos - record_start;
-                dense.write_all(&raw[record_start..pos + klen + vlen])?;
-                new_index.insert(
-                    key.to_vec(),
-                    (new_offset + (header_len + klen) as u64, vlen as u32),
-                );
-                new_offset += (header_len + klen + vlen) as u64;
-            }
-            pos += klen + vlen;
         }
         dense.flush()?;
         let staging = dense.into_inner().map_err(|e| e.into_error())?;
@@ -821,58 +870,104 @@ impl KvBackend for FileBackend {
     }
 
     fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        // Serialise the whole batch into one buffer and append it with a
-        // single group flush.  Because the records provably reach the file
-        // before this call returns, none of them need to be double-buffered
-        // in the `pending` map — the biggest per-record cost of the
-        // one-at-a-time path.
+        self.write_group(items, &[]);
+    }
+
+    fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
+        self.write_group(&[], items);
+    }
+
+    fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
+        // Serialise the whole group into one buffer and append it with a
+        // single write.  Because the records provably reach the file before
+        // this call returns, none of them need to be double-buffered in the
+        // `pending` map — the biggest per-record cost of the one-at-a-time
+        // path.
+        if puts.is_empty() && appends.is_empty() {
+            return;
+        }
         if !self.pending.is_empty() {
             // Earlier one-at-a-time puts may still be buffered; flush them so
-            // a stale `pending` entry can never shadow a batch record.
+            // a stale `pending` entry can never shadow a group record, and
+            // every indexed value below `base` is readable from the file.
             self.flush().expect("lineage log flush");
         }
-        let payload: usize = items.iter().map(|(k, v)| k.len() + v.len() + 20).sum();
+        let base = self.write_offset;
+        let payload: usize = puts
+            .iter()
+            .chain(appends)
+            .map(|(k, v)| k.len() + v.len() + 20)
+            .sum();
         let mut buf = Vec::with_capacity(payload);
-        for &(key, value) in items {
-            write_varint(&mut buf, key.len() as u64);
-            write_varint(&mut buf, value.len() as u64);
-            let value_off = self.write_offset + (buf.len() + key.len()) as u64;
-            buf.extend_from_slice(key);
+        self.index.reserve(puts.len() + appends.len());
+        // The log keeps item order; the index is filled in (estimated) bucket
+        // order.  A capture's tables are new, and new table memory answers
+        // random first touches with a cache miss apiece — swept in order it
+        // streams, and is warm by the time the appends probe it.  The
+        // estimate mirrors the 7/8-load power-of-two sizing behind `reserve`
+        // (a wrong one only costs locality); ties keep item order, so the
+        // last record of a repeated key still wins.
+        let mask = (self.index.capacity() * 8 / 7).next_power_of_two() - 1;
+        let mut placed: Vec<(usize, usize, u64)> = Vec::with_capacity(puts.len());
+        for (i, &(key, value)) in puts.iter().enumerate() {
+            write_record_prefix(&mut buf, key, value.len());
+            let bucket = self.index.hasher().hash_one(key) as usize & mask;
+            placed.push((bucket, i, base + buf.len() as u64));
             buf.extend_from_slice(value);
-            if let Some((_, old_len)) = self
-                .index
-                .insert(key.to_vec(), (value_off, value.len() as u32))
-            {
-                self.live_bytes -= old_len as usize;
-            } else {
-                self.live_bytes += key.len();
+        }
+        placed.sort_unstable();
+        for (_, i, value_off) in placed {
+            let (key, value) = puts[i];
+            index_put(
+                &mut self.index,
+                &mut self.live_bytes,
+                key,
+                value_off,
+                value.len(),
+            );
+        }
+        // The log is append-only, so a merged record is rewritten whole — in
+        // one pass: one index probe per key, and the old value copied
+        // straight into the group buffer behind the record prefix.
+        for &(key, delta) in appends {
+            self.live_bytes += delta.len();
+            match self.index.entry(IndexKey::new(key)) {
+                Entry::Vacant(e) => {
+                    self.live_bytes += key.len();
+                    write_record_prefix(&mut buf, key, delta.len());
+                    e.insert((base + buf.len() as u64, delta.len() as u32));
+                }
+                Entry::Occupied(mut e) => {
+                    let (old_off, old_len) = *e.get();
+                    let old_len = old_len as usize;
+                    write_record_prefix(&mut buf, key, old_len + delta.len());
+                    *e.get_mut() = (base + buf.len() as u64, (old_len + delta.len()) as u32);
+                    match &self.map {
+                        // Written earlier in this very group.
+                        _ if old_off >= base => {
+                            let at = (old_off - base) as usize;
+                            buf.extend_from_within(at..at + old_len);
+                        }
+                        Some(map) if old_off as usize + old_len <= map.len() => {
+                            buf.extend_from_slice(&map.as_slice()[old_off as usize..][..old_len]);
+                        }
+                        // A failed read of an indexed record must not shrink
+                        // it to just the delta: fatal, like the log writes.
+                        _ => {
+                            let at = buf.len();
+                            buf.resize(at + old_len, 0);
+                            read_exact_at(&self.reader, &mut buf[at..], old_off)
+                                .expect("lineage log read");
+                        }
+                    }
+                }
             }
-            self.live_bytes += value.len();
+            buf.extend_from_slice(delta);
         }
         self.write_offset += buf.len() as u64;
         self.writer.write_all(&buf).expect("lineage log write");
         self.writer.flush().expect("lineage log group flush");
         self.remap();
-    }
-
-    fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-        // The log is append-only, so a merged record must be rewritten whole:
-        // read the old values first (through the pending map / index as
-        // usual), then append every merged record with one group write.
-        let merged: Vec<Vec<u8>> = items
-            .iter()
-            .map(|&(key, append)| {
-                let mut value = self.get(key).unwrap_or_default();
-                value.extend_from_slice(append);
-                value
-            })
-            .collect();
-        let slices: Vec<(&[u8], &[u8])> = items
-            .iter()
-            .zip(&merged)
-            .map(|(&(key, _), value)| (key, value.as_slice()))
-            .collect();
-        self.put_batch_slices(&slices);
     }
 
     /// Owned-pair scan: a thin adapter over [`KvBackend::scan_slices`] that copies each
@@ -1008,6 +1103,13 @@ impl Database {
     pub fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
         self.puts += items.len() as u64;
         self.backend.merge_append_batch(items);
+    }
+
+    /// Applies `puts` then `appends` as one group write (a whole ingest
+    /// batch; see [`KvBackend::write_group`]).
+    pub fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
+        self.puts += (puts.len() + appends.len()) as u64;
+        self.backend.write_group(puts, appends);
     }
 
     /// Fetches a value.
@@ -1548,6 +1650,96 @@ mod tests {
         let b = FileBackend::open(&path).unwrap();
         assert_eq!(b.get(b"seed").as_deref(), Some(&b"old+1+2"[..]));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn write_group_contract(mut b: Box<dyn KvBackend>) {
+        b.put(b"seed", b"old");
+        // One call: two puts, then appends to a flushed-earlier key, to a key
+        // put by this very call, to a fresh key, and to that key again.
+        b.write_group(
+            &[(b"k1", b"v1"), (b"seed", b"new")],
+            &[
+                (b"seed", b"+1"),
+                (b"k1", b"+2"),
+                (b"fresh", b"a"),
+                (b"fresh", b"b"),
+            ],
+        );
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.get(b"seed").as_deref(), Some(&b"new+1"[..]));
+        assert_eq!(b.get(b"k1").as_deref(), Some(&b"v1+2"[..]));
+        assert_eq!(b.get(b"fresh").as_deref(), Some(&b"ab"[..]));
+        b.write_group(&[], &[]);
+        let mut reference = MemBackend::new();
+        for (k, v) in b.iter() {
+            reference.put(&k, &v);
+        }
+        assert_eq!(b.bytes_used(), reference.bytes_used());
+    }
+
+    #[test]
+    fn mem_backend_write_group_contract() {
+        write_group_contract(Box::new(MemBackend::new()));
+    }
+
+    #[test]
+    fn file_backend_write_group_contract() {
+        let dir = std::env::temp_dir().join(format!("subzero-kv-group-{}", std::process::id()));
+        let path = dir.join("group.kv");
+        let _ = std::fs::remove_file(&path);
+        write_group_contract(Box::new(FileBackend::open(&path).unwrap()));
+        let b = FileBackend::open(&path).unwrap();
+        assert_eq!(b.len(), 3);
+        assert_eq!(b.get(b"k1").as_deref(), Some(&b"v1+2"[..]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "lineage log read")]
+    fn file_backend_merge_append_fails_loudly_on_unreadable_old_value() {
+        // A failed read of an indexed record must not quietly shrink it to
+        // just the new delta.  Pread mode, so the old value has to come from
+        // the file — which is cut off under the backend.
+        let dir = std::env::temp_dir().join(format!("subzero-kv-lost-{}", std::process::id()));
+        let path = dir.join("lost.kv");
+        let _ = std::fs::remove_file(&path);
+        let mut b = FileBackend::open(&path).unwrap();
+        b.set_scan_mode(ScanMode::Pread);
+        b.put_batch_slices(&[(b"cell", b"entry-ids")]);
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(0)
+            .unwrap();
+        b.merge_append_batch(&[(b"cell", b"+1")]);
+    }
+
+    #[test]
+    fn index_key_is_two_words_and_spills_past_the_inline_capacity() {
+        assert_eq!(std::mem::size_of::<IndexKey>(), 16);
+        let pattern: Vec<u8> = (1..=INLINE_KEY as u8 + 2).collect();
+        for len in 0..=pattern.len() {
+            assert_eq!(IndexKey::new(&pattern[..len]).as_slice(), &pattern[..len]);
+        }
+        let short = [7u8; INLINE_KEY];
+        let long = [7u8; INLINE_KEY + 1];
+        assert!(matches!(IndexKey::new(&short), IndexKey::Inline { .. }));
+        assert!(matches!(
+            IndexKey::new(&[]),
+            IndexKey::Inline { len: 0, .. }
+        ));
+        assert!(matches!(IndexKey::new(&long), IndexKey::Heap(_)));
+        // Both forms are found by plain byte-slice lookups, and a key is
+        // never confused with its zero-padded extension.
+        let mut b = MemBackend::new();
+        b.put(&short, b"inline");
+        b.put(&long, b"heap");
+        b.put(&short[..3], b"prefix");
+        assert_eq!(b.get(&short).as_deref(), Some(&b"inline"[..]));
+        assert_eq!(b.get(&long).as_deref(), Some(&b"heap"[..]));
+        assert_eq!(b.get(&[7, 7, 7]).as_deref(), Some(&b"prefix"[..]));
+        assert_eq!(b.get(&[7, 7, 7, 0]), None);
     }
 
     fn scan_batch_contract(mut b: Box<dyn KvBackend>) {

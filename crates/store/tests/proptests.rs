@@ -6,7 +6,7 @@ use subzero_store::codec::{
     decode_cells, decode_cells_at, decode_cells_block, encode_cells, encode_cells_into,
     encode_payload, pack_coord, read_varint, skip_cells_block, write_varint, Arena, ScanFrame,
 };
-use subzero_store::kv::{FileBackend, KvBackend, MemBackend};
+use subzero_store::kv::{FileBackend, KvBackend, MemBackend, ScanMode};
 use subzero_store::RTree;
 
 /// A scratch path for one property test's file backend, cleaned up by the
@@ -17,7 +17,124 @@ fn scratch_file(tag: &str) -> std::path::PathBuf {
     dir.join(format!("{tag}.kv"))
 }
 
+/// Key lengths on both sides of the backends' inline-key capacity (14).
+const KEY_LENS: [usize; 9] = [0, 1, 9, 10, 14, 15, 22, 23, 40];
+
+/// A key from a small space, so random op sequences keep hitting the same
+/// keys: the id picks the length and the fill byte.
+fn model_key(id: u8) -> Vec<u8> {
+    vec![id; KEY_LENS[id as usize % KEY_LENS.len()]]
+}
+
+/// One step of the kv model test: the op kind and its `(key id, bytes)`
+/// items (single-record ops use the first item, if any).
+type KvOp = (u8, Vec<(u8, Vec<u8>)>);
+
+/// Drives `backend` and the `BTreeMap` model through `ops`, checking reads
+/// after every step; `reopen` drops and reopens a persistent backend.
+fn run_kv_model(
+    mut backend: Box<dyn KvBackend>,
+    reopen: Option<&dyn Fn() -> Box<dyn KvBackend>>,
+    ops: &[KvOp],
+) -> Result<(), String> {
+    use std::collections::BTreeMap;
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for (kind, raw) in ops {
+        let items: Vec<(Vec<u8>, &[u8])> = raw
+            .iter()
+            .map(|(id, bytes)| (model_key(*id), bytes.as_slice()))
+            .collect();
+        let refs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (k.as_slice(), *v)).collect();
+        let put = |model: &mut BTreeMap<_, _>, items: &[(&[u8], &[u8])]| {
+            for &(k, v) in items {
+                model.insert(k.to_vec(), v.to_vec());
+            }
+        };
+        let append = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>, items: &[(&[u8], &[u8])]| {
+            for &(k, v) in items {
+                model.entry(k.to_vec()).or_default().extend_from_slice(v);
+            }
+        };
+        match kind % 8 {
+            0 => {
+                for &(k, v) in refs.iter().take(1) {
+                    backend.put(k, v);
+                }
+                put(&mut model, &refs[..refs.len().min(1)]);
+            }
+            1 => {
+                backend.put_batch_slices(&refs);
+                put(&mut model, &refs);
+            }
+            2 => {
+                backend.merge_append_batch(&refs);
+                append(&mut model, &refs);
+            }
+            3 | 4 => {
+                // The group write: the first half put, the rest appended.
+                let (puts, appends) = refs.split_at(refs.len() / 2);
+                backend.write_group(puts, appends);
+                put(&mut model, puts);
+                append(&mut model, appends);
+            }
+            5 => backend.flush().map_err(|e| e.to_string())?,
+            6 => {
+                backend.flush().map_err(|e| e.to_string())?;
+                backend.compact().map_err(|e| e.to_string())?;
+            }
+            _ => {
+                if let Some(reopen) = reopen {
+                    backend.flush().map_err(|e| e.to_string())?;
+                    drop(backend);
+                    backend = reopen();
+                }
+            }
+        }
+        prop_assert_eq!(backend.len(), model.len());
+        let bytes: usize = model.iter().map(|(k, v)| k.len() + v.len()).sum();
+        prop_assert_eq!(backend.bytes_used(), bytes);
+        for (k, _) in &items {
+            prop_assert_eq!(backend.get(k), model.get(k).cloned());
+            prop_assert_eq!(backend.contains(k), model.contains_key(k));
+        }
+    }
+    let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    let mut iterated: Vec<_> = backend.iter().collect();
+    iterated.sort();
+    prop_assert_eq!(&iterated, &expected);
+    let mut scanned: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    backend.scan_slices(5, &mut |block| {
+        scanned.extend(block.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
+    });
+    scanned.sort();
+    prop_assert_eq!(&scanned, &expected);
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn kv_backends_match_a_btreemap_model(
+        // Random interleavings of every write path, flushes, compactions
+        // and reopens over keys on both sides of the inline-key boundary.
+        ops in prop::collection::vec(
+            (0u8..8, prop::collection::vec((0u8..18, prop::collection::vec(any::<u8>(), 0..20)), 0..6)),
+            1..40,
+        ),
+    ) {
+        run_kv_model(Box::new(MemBackend::new()), None, &ops)?;
+        for mode in [ScanMode::Mmap, ScanMode::Pread] {
+            let path = scratch_file(&format!("model-{mode:?}"));
+            let _ = std::fs::remove_file(&path);
+            let open = || -> Box<dyn KvBackend> {
+                let mut file = FileBackend::open(&path).unwrap();
+                file.set_scan_mode(mode);
+                Box::new(file)
+            };
+            run_kv_model(open(), Some(&open), &ops)?;
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
     #[test]
     fn varint_roundtrip(v in any::<u64>()) {
         let mut buf = Vec::new();

@@ -812,6 +812,14 @@ mod tests {
         assert!(lint_rust_source("crates/store/src/mmap.rs", src).is_empty());
         assert!(lint_rust_source(LIB_PATH, src).is_empty());
         assert!(lint_rust_source("crates/store/tests/stress.rs", src).is_empty());
+        // ... which is what lets the allocation guard wrap the global
+        // allocator (`unsafe impl GlobalAlloc`) from a test file.
+        let src = "unsafe impl GlobalAlloc for Counting {}\n";
+        assert!(lint_rust_source("crates/store/tests/alloc_guard.rs", src).is_empty());
+        assert_eq!(
+            lints_of(&lint_rust_source("crates/store/src/alloc_guard.rs", src)),
+            vec!["unsafe-outside-mmap"]
+        );
         // Comments and identifiers containing the word don't count.
         assert!(
             lint_rust_source("crates/store/src/kv.rs", "// unsafe is banned here\n").is_empty()
