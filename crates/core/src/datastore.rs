@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use subzero_array::{BoundingBox, CellSet, Coord, Shape};
 use subzero_engine::{OpMeta, Operator, RegionPair};
 use subzero_store::codec::{
-    decode_fixed_u64, encode_fixed_u64, read_varint, write_varint, Arena, CodecError, ScanFrame,
-    Span,
+    decode_fixed_u64, encode_fixed_u64, read_varint, write_varint, Arena, CellRun, CodecError,
+    ScanFrame, Span,
 };
 use subzero_store::hash::FxHashMap;
 use subzero_store::kv::{Database, KvBackend, MemBackend};
@@ -1106,44 +1106,18 @@ impl OpDatastore {
         self.rtree_staged.clear();
     }
 
-    /// Answers one backward lookup: which cells of input `input_idx` do the
-    /// query output cells depend on, according to the stored lineage?
-    /// Delegates to [`lookup_backward_many`](OpDatastore::lookup_backward_many).
-    pub fn lookup_backward(
-        &mut self,
-        query: &CellSet,
-        input_idx: usize,
-        op: &dyn Operator,
-        meta: &OpMeta,
-    ) -> LookupOutcome {
-        self.lookup_backward_many(&[query], input_idx, op, meta)
-            .pop()
-            .expect("one outcome per query")
-    }
-
-    /// Answers one forward lookup: which output cells depend on the query
-    /// cells of input `input_idx`, according to the stored lineage?
-    /// Delegates to [`lookup_forward_many`](OpDatastore::lookup_forward_many).
-    pub fn lookup_forward(
-        &mut self,
-        query: &CellSet,
-        input_idx: usize,
-        op: &dyn Operator,
-        meta: &OpMeta,
-    ) -> LookupOutcome {
-        self.lookup_forward_many(&[query], input_idx, op, meta)
-            .pop()
-            .expect("one outcome per query")
-    }
-
-    /// Answers a whole batch of backward lookups in one pass, returning one
-    /// [`LookupOutcome`] per query (identical to running each query alone).
+    /// Answers a whole batch of lookups in `direction` about input
+    /// `input_idx` in one pass, returning one [`LookupOutcome`] per query
+    /// (identical to running each query alone).  A backward query names
+    /// output cells and is answered with cells of input `input_idx`; a
+    /// forward query names cells of that input and is answered with output
+    /// cells.
     ///
     /// The batch shares the physical work: a hash entry referenced by several
     /// queries is fetched and decoded once, payload mapping functions run
     /// once per stored region instead of once per query, and — the big one —
     /// when the stored index direction does not match the query direction,
-    /// the *single* full scan (streamed through [`Database::scan_batch`] in
+    /// the *single* full scan (streamed through [`Database::scan_slices`] in
     /// decode blocks riding the `put_batch` file layout) answers every query
     /// of the batch, instead of one scan per query.
     ///
@@ -1153,8 +1127,15 @@ impl OpDatastore {
     /// with its own decoded-entry cache), and the shared scan parallelises
     /// both the per-block entry decoding and the per-query join.  Results
     /// are deterministic and identical at any worker count.
-    pub fn lookup_backward_many(
+    ///
+    /// A forward lookup is a backward lookup with the region pair's sides
+    /// swapped (§VI-A), so each `Full` arm is written once over the lookup's
+    /// query and answer sides (`RecordSide`).  The arm follows from whether the
+    /// store's index serves `direction` and from the granularity; payload
+    /// lineage is indexed by output cells only, so its forward lookups scan.
+    pub fn lookup_many(
         &mut self,
+        direction: Direction,
         queries: &[&CellSet],
         input_idx: usize,
         op: &dyn Operator,
@@ -1164,6 +1145,7 @@ impl OpDatastore {
         if queries.is_empty() {
             return Vec::new();
         }
+        let (query_side, answer_side) = RecordSide::of(direction, input_idx);
         let out_shape = self.out_shape;
         let in_shapes = self.in_shapes.clone();
         let in_shapes = &in_shapes;
@@ -1172,259 +1154,221 @@ impl OpDatastore {
         let rtree = self.rtree.as_ref();
         let full_caches = cache_shards(&mut self.full_caches, workers, queries.len());
         let pay_caches = cache_shards(&mut self.pay_caches, workers, queries.len());
-        let empty_outcome = || LookupOutcome {
-            result: CellSet::empty(in_shapes[input_idx]),
-            covered: CellSet::empty(out_shape),
+        let empty_outcome = |scanned| LookupOutcome {
+            result: CellSet::empty(answer_side.shape(&out_shape, in_shapes)),
+            covered: CellSet::empty(query_side.shape(&out_shape, in_shapes)),
             entries_fetched: 0,
-            scanned: false,
+            scanned,
         };
+        let decode_full = |body: &[u8]| decode_full_entry(&out_shape, in_shapes, body).ok();
 
-        match (
-            self.strategy.mode,
-            self.strategy.direction,
-            self.strategy.granularity,
-        ) {
-            // --- Indexed (backward-optimized) paths -------------------------
-            (LineageMode::Full, Direction::Backward, Granularity::One) => flatten(
-                parallel::parallel_chunks_stateful(queries, full_caches, 2, |_, cache, shard| {
-                    shard
-                        .iter()
-                        .map(|query| {
-                            let mut out = empty_outcome();
-                            for qc in query.iter() {
-                                let key = encoder::out_cell_key(&out_shape, &qc);
-                                let Some(value) = db.peek(&key) else {
-                                    continue;
-                                };
-                                out.covered.insert(&qc);
-                                for id in decode_entry_ids(&value).unwrap_or_default() {
-                                    let (present, entry) = cache.get(db, id, |body| {
-                                        decode_full_entry(&out_shape, in_shapes, body).ok()
-                                    });
-                                    if present {
-                                        out.entries_fetched += 1;
-                                    }
-                                    if let Some(entry) = entry {
-                                        for c in entry.incells.get(input_idx).into_iter().flatten()
-                                        {
-                                            out.result.insert(c);
-                                        }
-                                    }
+        let indexed = self.strategy.serves(direction);
+        match (self.strategy.mode, indexed, self.strategy.granularity) {
+            // --- Full lineage, indexed on the query side ---------------------
+            (LineageMode::Full, true, Granularity::One) => {
+                fan_out(queries, full_caches, |cache, query| {
+                    let mut out = empty_outcome(false);
+                    for qc in query.iter() {
+                        let key = query_side.cell_key(&out_shape, in_shapes, &qc);
+                        let Some(value) = db.peek(&key) else {
+                            continue;
+                        };
+                        out.covered.insert(&qc);
+                        for id in decode_entry_ids(&value).unwrap_or_default() {
+                            let (present, entry) = cache.get(db, id, decode_full);
+                            out.entries_fetched += present as usize;
+                            if let Some(entry) = entry {
+                                for c in answer_side.cells(entry) {
+                                    out.result.insert(c);
                                 }
                             }
-                            out
-                        })
-                        .collect()
-                }),
-            ),
-            (LineageMode::Full, Direction::Backward, Granularity::Many) => flatten(
-                parallel::parallel_chunks_stateful(queries, full_caches, 2, |_, cache, shard| {
-                    shard
-                        .iter()
-                        .map(|query| {
-                            let mut out = empty_outcome();
-                            for id in candidate_entries(rtree, query) {
-                                let (present, entry) = cache.get(db, id, |body| {
-                                    decode_full_entry(&out_shape, in_shapes, body).ok()
-                                });
-                                if present {
-                                    out.entries_fetched += 1;
-                                }
-                                let Some(entry) = entry else { continue };
-                                let hits: Vec<&Coord> = entry
-                                    .outcells
-                                    .iter()
-                                    .filter(|c| query.contains(c))
-                                    .collect();
-                                if !hits.is_empty() {
-                                    for c in &hits {
-                                        out.covered.insert(c);
-                                    }
-                                    for c in entry.incells.get(input_idx).into_iter().flatten() {
-                                        out.result.insert(c);
-                                    }
-                                }
-                            }
-                            out
-                        })
-                        .collect()
-                }),
-            ),
-            (LineageMode::Pay | LineageMode::Comp, _, Granularity::One) => {
-                // map_payload depends on the query cell, so only the record
-                // fetches are shareable — and query cells rarely repeat
-                // across a batch; fan the per-query loops out as they are.
-                flatten(parallel::parallel_chunks(
-                    queries,
-                    workers,
-                    2,
-                    |_, shard| {
-                        shard
-                            .iter()
-                            .map(|query| {
-                                let mut out = empty_outcome();
-                                for qc in query.iter() {
-                                    let key = encoder::out_cell_key(&out_shape, &qc);
-                                    if let Some(value) = db.peek(&key) {
-                                        out.covered.insert(&qc);
-                                        out.entries_fetched += 1;
-                                        for payload in decode_payloads(&value).unwrap_or_default() {
-                                            for c in op
-                                                .map_payload(&qc, &payload, input_idx, meta)
-                                                .unwrap_or_default()
-                                            {
-                                                out.result.insert(&c);
-                                            }
-                                        }
-                                    }
-                                }
-                                out
-                            })
-                            .collect()
-                    },
-                ))
-            }
-            (LineageMode::Pay | LineageMode::Comp, _, Granularity::Many) => flatten(
-                parallel::parallel_chunks_stateful(queries, pay_caches, 2, |_, cache, shard| {
-                    shard
-                        .iter()
-                        .map(|query| {
-                            let mut out = empty_outcome();
-                            for id in candidate_entries(rtree, query) {
-                                let (present, entry) = cache
-                                    .get(db, id, |body| decode_pay_entry(&out_shape, body).ok());
-                                if present {
-                                    out.entries_fetched += 1;
-                                }
-                                let Some(entry) = entry else { continue };
-                                for oc in entry.outcells.iter().filter(|c| query.contains(c)) {
-                                    out.covered.insert(oc);
-                                    for c in op
-                                        .map_payload(oc, &entry.payload, input_idx, meta)
-                                        .unwrap_or_default()
-                                    {
-                                        out.result.insert(&c);
-                                    }
-                                }
-                            }
-                            out
-                        })
-                        .collect()
-                }),
-            ),
-            // --- Mismatched index: forward-optimized store, backward query --
-            (LineageMode::Full, Direction::Forward, Granularity::One) => {
-                // One streamed, zero-copy scan decodes the input-cell records
-                // and the entry bodies into a shared columnar frame (the
-                // decode fans out per block); the parallel per-query join
-                // below answers every query in linear-index space, never
-                // materialising a coordinate.
-                let sd = scan_full_decode(
-                    db,
-                    &out_shape,
-                    in_shapes,
-                    input_idx,
-                    RecordSide::InCells,
-                    workers,
-                );
-                // Resolve each record's entry ids against the decoded map
-                // once, into one flat (cell, runs) join list; the per-query
-                // join then streams plain run handles with no hash lookups.
-                let entries: FxHashMap<u64, Option<FullEntryRuns>> =
-                    sd.entries.iter().copied().collect();
-                let mut resolved: Vec<(u64, Option<FullEntryRuns>)> =
-                    Vec::with_capacity(sd.records.len());
-                for &(cell, start, len) in &sd.records {
-                    for id in sd.record_ids(start, len) {
-                        if let Some(&runs) = entries.get(id) {
-                            resolved.push((cell, runs));
                         }
                     }
-                }
-                let frame = &sd.frame;
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    let mut hits: Vec<u64> = Vec::new();
-                    // Hits accumulate in flat vectors across the whole scan
-                    // and merge into the answer containers once at the end:
-                    // a per-entry container merge would re-splice the
-                    // accumulated set once per matching record.
-                    // One densified clone of the query turns the
-                    // thousands of per-record membership probes below into
-                    // O(1) word tests; the few-KiB promotion cost amortises
-                    // over the whole scan.
-                    let probe = {
-                        let mut p = CellSet::clone(query);
-                        p.densify();
-                        p
-                    };
-                    let mut covered_acc: Vec<u64> = Vec::new();
-                    let mut result_acc: Vec<u64> = Vec::new();
-                    for &(cell, runs) in &resolved {
-                        out.entries_fetched += 1;
-                        let Some(runs) = runs else { continue };
-                        hits.clear();
-                        // Intersect the query's containers against the
-                        // record's sorted scan indices (word probes on dense
-                        // chunks, tail bisection on sparse/run chunks)
-                        // instead of testing a bitmap per index.
-                        if probe.intersect_sorted(frame.run(runs.outcells), |oc| hits.push(oc)) {
-                            covered_acc.extend_from_slice(&hits);
-                            result_acc.push(cell);
-                        }
-                    }
-                    covered_acc.sort_unstable();
-                    covered_acc.dedup();
-                    out.covered.insert_sorted(&covered_acc);
-                    result_acc.sort_unstable();
-                    result_acc.dedup();
-                    out.result.insert_sorted(&result_acc);
                     out
                 })
             }
-            (LineageMode::Full, Direction::Forward, Granularity::Many) => {
-                let sd = scan_full_decode(
-                    db,
-                    &out_shape,
-                    in_shapes,
-                    input_idx,
-                    RecordSide::InCells,
-                    workers,
-                );
-                let frame = &sd.frame;
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    let mut hits: Vec<u64> = Vec::new();
-                    // One densified clone of the query turns the
-                    // thousands of per-record membership probes below into
-                    // O(1) word tests; the few-KiB promotion cost amortises
-                    // over the whole scan.
-                    let probe = {
-                        let mut p = CellSet::clone(query);
-                        p.densify();
-                        p
-                    };
-                    let mut covered_acc: Vec<u64> = Vec::new();
-                    let mut result_acc: Vec<u64> = Vec::new();
-                    for &(_, runs) in &sd.entries {
-                        out.entries_fetched += 1;
-                        let Some(runs) = runs else { continue };
-                        hits.clear();
-                        if probe.intersect_sorted(frame.run(runs.outcells), |oc| hits.push(oc)) {
-                            covered_acc.extend_from_slice(&hits);
-                            // The whole record matched: every input cell
-                            // joins the flat accumulator.
-                            result_acc.extend_from_slice(frame.run(runs.incells));
+            (LineageMode::Full, true, Granularity::Many) => {
+                fan_out(queries, full_caches, |cache, query| {
+                    let mut out = empty_outcome(false);
+                    for id in candidate_entries(rtree, query) {
+                        let (present, entry) = cache.get(db, id, decode_full);
+                        out.entries_fetched += present as usize;
+                        let Some(entry) = entry else { continue };
+                        if cover(&mut out.covered, query_side.cells(entry), query) {
+                            for c in answer_side.cells(entry) {
+                                out.result.insert(c);
+                            }
                         }
                     }
-                    covered_acc.sort_unstable();
-                    covered_acc.dedup();
-                    out.covered.insert_sorted(&covered_acc);
-                    result_acc.sort_unstable();
-                    result_acc.dedup();
-                    out.result.insert_sorted(&result_acc);
+                    out
+                })
+            }
+            // --- Full lineage, mismatched index: one shared scan -------------
+            (LineageMode::Full, false, granularity) => {
+                // One streamed, zero-copy scan decodes the cell records keyed
+                // on the answer side and the entry bodies into a shared
+                // columnar frame (the decode fans out per block); the
+                // parallel per-query join below answers every query in
+                // linear-index space, never materialising a coordinate.
+                let sd =
+                    scan_full_decode(db, &out_shape, in_shapes, input_idx, answer_side, workers);
+                // A `One` store's records resolve their entry ids against the
+                // decoded entries once, so the join below streams plain
+                // entry indices with no hash lookups.
+                let (records, fetched) = match granularity {
+                    Granularity::One => {
+                        let records = sd.resolved_records();
+                        let fetched = records.len();
+                        (records, fetched)
+                    }
+                    Granularity::Many => (Vec::new(), sd.entries.len()),
+                };
+                let frame = &sd.frame;
+                parallel::parallel_map_min(queries, workers, 2, |_, query| {
+                    let mut out = empty_outcome(true);
+                    out.entries_fetched = fetched;
+                    // One densified clone of the query turns the thousands
+                    // of per-entry membership probes below into O(1) word
+                    // tests; the few-KiB promotion cost amortises over the
+                    // whole scan.
+                    let mut probe = CellSet::clone(query);
+                    probe.densify();
+                    // Hits accumulate in flat vectors across the whole scan
+                    // and merge into the answer containers once at the end:
+                    // a per-entry container merge would re-splice the
+                    // accumulated set once per matching entry.
+                    let (mut covered, mut result) = (Vec::new(), Vec::new());
+                    // Which entries meet the query: intersect the query's
+                    // containers against each entry's sorted query-side scan
+                    // indices (word probes on the densified chunks).
+                    let hit: Vec<bool> = sd
+                        .entries
+                        .iter()
+                        .map(|&(_, runs)| {
+                            runs.is_some_and(|runs| {
+                                let cells = frame.run(query_side.run(runs));
+                                probe.intersect_sorted(cells, |c| covered.push(c))
+                            })
+                        })
+                        .collect();
+                    // A hit contributes the cells of the records naming the
+                    // entry (`One`) or the entry's answer-side run (`Many`).
+                    match granularity {
+                        Granularity::One => result.extend(
+                            records
+                                .iter()
+                                .filter(|&&(_, e)| hit[e])
+                                .map(|&(cell, _)| cell),
+                        ),
+                        Granularity::Many => {
+                            for (&(_, runs), &h) in sd.entries.iter().zip(&hit) {
+                                if let Some(runs) = runs.filter(|_| h) {
+                                    result.extend_from_slice(frame.run(answer_side.run(runs)));
+                                }
+                            }
+                        }
+                    }
+                    insert_all(&mut out.covered, covered);
+                    insert_all(&mut out.result, result);
+                    out
+                })
+            }
+            // --- Payload lineage, backward: indexed on output cells ----------
+            (LineageMode::Pay | LineageMode::Comp, true, Granularity::One) => {
+                // map_payload depends on the query cell, so only the record
+                // fetches are shareable — and query cells rarely repeat
+                // across a batch; fan the per-query loops out as they are.
+                fan_out(queries, pay_caches, |_, query| {
+                    let mut out = empty_outcome(false);
+                    for qc in query.iter() {
+                        let Some(value) = db.peek(&encoder::out_cell_key(&out_shape, &qc)) else {
+                            continue;
+                        };
+                        out.covered.insert(&qc);
+                        out.entries_fetched += 1;
+                        for payload in decode_payloads(&value).unwrap_or_default() {
+                            for c in op
+                                .map_payload(&qc, &payload, input_idx, meta)
+                                .unwrap_or_default()
+                            {
+                                out.result.insert(&c);
+                            }
+                        }
+                    }
+                    out
+                })
+            }
+            (LineageMode::Pay | LineageMode::Comp, true, Granularity::Many) => {
+                fan_out(queries, pay_caches, |cache, query| {
+                    let mut out = empty_outcome(false);
+                    for id in candidate_entries(rtree, query) {
+                        let (present, entry) =
+                            cache.get(db, id, |body| decode_pay_entry(&out_shape, body).ok());
+                        out.entries_fetched += present as usize;
+                        let Some(entry) = entry else { continue };
+                        for oc in entry.outcells.iter().filter(|c| query.contains(c)) {
+                            out.covered.insert(oc);
+                            for c in op
+                                .map_payload(oc, &entry.payload, input_idx, meta)
+                                .unwrap_or_default()
+                            {
+                                out.result.insert(&c);
+                            }
+                        }
+                    }
+                    out
+                })
+            }
+            // --- Payload lineage, forward: one shared scan -------------------
+            (LineageMode::Pay | LineageMode::Comp, false, _) => {
+                // One streamed scan collects every stored group of output
+                // cells and payloads (a `PayOne` cell record: one cell, its
+                // payloads; a `PayMany` entry: its cells, one payload), the
+                // mapping function runs once per stored (cell, payload)
+                // region — fanned across the workers — and the parallel
+                // per-query join consumes the precomputed regions.
+                let mut groups: Vec<(Vec<Coord>, Vec<Vec<u8>>)> = Vec::new();
+                db.scan_slices(SCAN_BLOCK, &mut |block| {
+                    groups.extend(
+                        parallel::parallel_map(block, workers, |_, (key, value)| match decode_key(
+                            &out_shape, in_shapes, key,
+                        ) {
+                            Ok(DecodedKey::OutCell(oc)) => {
+                                Some((vec![oc], decode_payloads(value).unwrap_or_default()))
+                            }
+                            Ok(DecodedKey::Entry(_)) => Some(
+                                decode_pay_entry(&out_shape, value)
+                                    .map(|e| (e.outcells, vec![e.payload]))
+                                    .unwrap_or_default(),
+                            ),
+                            _ => None,
+                        })
+                        .into_iter()
+                        .flatten(),
+                    );
+                });
+                let regions: Vec<(Coord, Vec<Coord>)> =
+                    parallel::parallel_map(&groups, workers, |_, (outcells, payloads)| {
+                        let mut regions = Vec::with_capacity(outcells.len() * payloads.len());
+                        for oc in outcells {
+                            for p in payloads {
+                                let incells = op.map_payload(oc, p, input_idx, meta);
+                                regions.push((*oc, incells.unwrap_or_default()));
+                            }
+                        }
+                        regions
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                parallel::parallel_map_min(queries, workers, 2, |_, query| {
+                    let mut out = empty_outcome(true);
+                    out.entries_fetched = groups.len();
+                    for (oc, incells) in &regions {
+                        if cover(&mut out.covered, incells, query) {
+                            out.result.insert(oc);
+                        }
+                    }
                     out
                 })
             }
@@ -1432,15 +1376,23 @@ impl OpDatastore {
                 // These strategies store nothing; the query executor never
                 // routes lookups here, but returning empty outcomes keeps the
                 // datastore total.
-                queries.iter().map(|_| empty_outcome()).collect()
+                queries.iter().map(|_| empty_outcome(false)).collect()
             }
         }
     }
 
-    /// Answers a whole batch of forward lookups in one pass; the batched
-    /// counterpart of [`lookup_forward`](OpDatastore::lookup_forward) (see
-    /// [`lookup_backward_many`](OpDatastore::lookup_backward_many) for the
-    /// sharing and the worker fan-out the batch exploits).
+    /// [`lookup_many`](OpDatastore::lookup_many) in the backward direction.
+    pub fn lookup_backward_many(
+        &mut self,
+        queries: &[&CellSet],
+        input_idx: usize,
+        op: &dyn Operator,
+        meta: &OpMeta,
+    ) -> Vec<LookupOutcome> {
+        self.lookup_many(Direction::Backward, queries, input_idx, op, meta)
+    }
+
+    /// [`lookup_many`](OpDatastore::lookup_many) in the forward direction.
     pub fn lookup_forward_many(
         &mut self,
         queries: &[&CellSet],
@@ -1448,324 +1400,116 @@ impl OpDatastore {
         op: &dyn Operator,
         meta: &OpMeta,
     ) -> Vec<LookupOutcome> {
-        self.ensure_spatial_index();
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let out_shape = self.out_shape;
-        let in_shapes = self.in_shapes.clone();
-        let in_shapes = &in_shapes;
-        let workers = self.workers;
-        let db = &self.db;
-        let rtree = self.rtree.as_ref();
-        let full_caches = cache_shards(&mut self.full_caches, workers, queries.len());
-        let empty_outcome = || LookupOutcome {
-            result: CellSet::empty(out_shape),
-            covered: CellSet::empty(in_shapes[input_idx]),
-            entries_fetched: 0,
-            scanned: false,
-        };
-
-        match (
-            self.strategy.mode,
-            self.strategy.direction,
-            self.strategy.granularity,
-        ) {
-            // --- Indexed (forward-optimized) paths ---------------------------
-            (LineageMode::Full, Direction::Forward, Granularity::One) => flatten(
-                parallel::parallel_chunks_stateful(queries, full_caches, 2, |_, cache, shard| {
-                    shard
-                        .iter()
-                        .map(|query| {
-                            let mut out = empty_outcome();
-                            for qc in query.iter() {
-                                let key =
-                                    encoder::in_cell_key(&in_shapes[input_idx], input_idx, &qc);
-                                let Some(value) = db.peek(&key) else {
-                                    continue;
-                                };
-                                out.covered.insert(&qc);
-                                for id in decode_entry_ids(&value).unwrap_or_default() {
-                                    let (present, entry) = cache.get(db, id, |body| {
-                                        decode_full_entry(&out_shape, in_shapes, body).ok()
-                                    });
-                                    if present {
-                                        out.entries_fetched += 1;
-                                    }
-                                    if let Some(entry) = entry {
-                                        for c in &entry.outcells {
-                                            out.result.insert(c);
-                                        }
-                                    }
-                                }
-                            }
-                            out
-                        })
-                        .collect()
-                }),
-            ),
-            (LineageMode::Full, Direction::Forward, Granularity::Many) => flatten(
-                parallel::parallel_chunks_stateful(queries, full_caches, 2, |_, cache, shard| {
-                    shard
-                        .iter()
-                        .map(|query| {
-                            let mut out = empty_outcome();
-                            for id in candidate_entries(rtree, query) {
-                                let (present, entry) = cache.get(db, id, |body| {
-                                    decode_full_entry(&out_shape, in_shapes, body).ok()
-                                });
-                                if present {
-                                    out.entries_fetched += 1;
-                                }
-                                let Some(entry) = entry else { continue };
-                                let hits: Vec<&Coord> = entry
-                                    .incells
-                                    .get(input_idx)
-                                    .into_iter()
-                                    .flatten()
-                                    .filter(|c| query.contains(c))
-                                    .collect();
-                                if !hits.is_empty() {
-                                    for c in &hits {
-                                        out.covered.insert(c);
-                                    }
-                                    for c in &entry.outcells {
-                                        out.result.insert(c);
-                                    }
-                                }
-                            }
-                            out
-                        })
-                        .collect()
-                }),
-            ),
-            // --- Mismatched index: backward-optimized store, forward query ---
-            (LineageMode::Full, Direction::Backward, Granularity::One) => {
-                let sd = scan_full_decode(
-                    db,
-                    &out_shape,
-                    in_shapes,
-                    input_idx,
-                    RecordSide::OutCells,
-                    workers,
-                );
-                let entries: FxHashMap<u64, Option<FullEntryRuns>> =
-                    sd.entries.iter().copied().collect();
-                let mut resolved: Vec<(u64, Option<FullEntryRuns>)> =
-                    Vec::with_capacity(sd.records.len());
-                for &(oc, start, len) in &sd.records {
-                    for id in sd.record_ids(start, len) {
-                        if let Some(&runs) = entries.get(id) {
-                            resolved.push((oc, runs));
-                        }
-                    }
-                }
-                let frame = &sd.frame;
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    let mut hits: Vec<u64> = Vec::new();
-                    // One densified clone of the query turns the
-                    // thousands of per-record membership probes below into
-                    // O(1) word tests; the few-KiB promotion cost amortises
-                    // over the whole scan.
-                    let probe = {
-                        let mut p = CellSet::clone(query);
-                        p.densify();
-                        p
-                    };
-                    let mut covered_acc: Vec<u64> = Vec::new();
-                    let mut result_acc: Vec<u64> = Vec::new();
-                    for &(oc, runs) in &resolved {
-                        out.entries_fetched += 1;
-                        let Some(runs) = runs else { continue };
-                        hits.clear();
-                        if probe.intersect_sorted(frame.run(runs.incells), |c| hits.push(c)) {
-                            covered_acc.extend_from_slice(&hits);
-                            result_acc.push(oc);
-                        }
-                    }
-                    covered_acc.sort_unstable();
-                    covered_acc.dedup();
-                    out.covered.insert_sorted(&covered_acc);
-                    result_acc.sort_unstable();
-                    result_acc.dedup();
-                    out.result.insert_sorted(&result_acc);
-                    out
-                })
-            }
-            (LineageMode::Full, Direction::Backward, Granularity::Many) => {
-                let sd = scan_full_decode(
-                    db,
-                    &out_shape,
-                    in_shapes,
-                    input_idx,
-                    RecordSide::OutCells,
-                    workers,
-                );
-                let frame = &sd.frame;
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    let mut hits: Vec<u64> = Vec::new();
-                    // One densified clone of the query turns the
-                    // thousands of per-record membership probes below into
-                    // O(1) word tests; the few-KiB promotion cost amortises
-                    // over the whole scan.
-                    let probe = {
-                        let mut p = CellSet::clone(query);
-                        p.densify();
-                        p
-                    };
-                    let mut covered_acc: Vec<u64> = Vec::new();
-                    let mut result_acc: Vec<u64> = Vec::new();
-                    for &(_, runs) in &sd.entries {
-                        out.entries_fetched += 1;
-                        let Some(runs) = runs else { continue };
-                        hits.clear();
-                        if probe.intersect_sorted(frame.run(runs.incells), |c| hits.push(c)) {
-                            covered_acc.extend_from_slice(&hits);
-                            result_acc.extend_from_slice(frame.run(runs.outcells));
-                        }
-                    }
-                    covered_acc.sort_unstable();
-                    covered_acc.dedup();
-                    out.covered.insert_sorted(&covered_acc);
-                    result_acc.sort_unstable();
-                    result_acc.dedup();
-                    out.result.insert_sorted(&result_acc);
-                    out
-                })
-            }
-            // --- Payload lineage: always requires iterating the pairs --------
-            (LineageMode::Pay | LineageMode::Comp, _, Granularity::One) => {
-                // One streamed scan collects the output-cell records, then
-                // the mapping function runs once per stored (cell, payload)
-                // region — fanned across the workers — and the parallel
-                // per-query join consumes the precomputed regions.
-                let mut records: Vec<(Coord, Vec<Vec<u8>>)> = Vec::new();
-                db.scan_slices(SCAN_BLOCK, &mut |block| {
-                    records.extend(
-                        parallel::parallel_map(block, workers, |_, (key, value)| match decode_key(
-                            &out_shape, in_shapes, key,
-                        ) {
-                            Ok(DecodedKey::OutCell(oc)) => {
-                                Some((oc, decode_payloads(value).unwrap_or_default()))
-                            }
-                            _ => None,
-                        })
-                        .into_iter()
-                        .flatten(),
-                    );
-                });
-                let mapped: Vec<(Coord, Vec<Vec<Coord>>)> =
-                    parallel::parallel_map(&records, workers, |_, (oc, payloads)| {
-                        (
-                            *oc,
-                            payloads
-                                .iter()
-                                .map(|p| op.map_payload(oc, p, input_idx, meta).unwrap_or_default())
-                                .collect(),
-                        )
-                    });
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    for (oc, regions) in &mapped {
-                        out.entries_fetched += 1;
-                        for incells in regions {
-                            let hits: Vec<&Coord> =
-                                incells.iter().filter(|c| query.contains(c)).collect();
-                            if !hits.is_empty() {
-                                out.result.insert(oc);
-                                for c in &hits {
-                                    out.covered.insert(c);
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-            }
-            (LineageMode::Pay | LineageMode::Comp, _, Granularity::Many) => {
-                let mut scanned: Vec<Option<PayEntry>> = Vec::new();
-                db.scan_slices(SCAN_BLOCK, &mut |block| {
-                    scanned.extend(
-                        parallel::parallel_map(block, workers, |_, (key, body)| {
-                            if matches!(
-                                decode_key(&out_shape, in_shapes, key),
-                                Ok(DecodedKey::Entry(_))
-                            ) {
-                                Some(decode_pay_entry(&out_shape, body).ok())
-                            } else {
-                                None
-                            }
-                        })
-                        .into_iter()
-                        .flatten(),
-                    );
-                });
-                // Resolve the mapping function once per stored output cell,
-                // in parallel, before the per-query join.
-                let mapped: Vec<Option<MappedRegions>> =
-                    parallel::parallel_map(&scanned, workers, |_, entry| {
-                        entry.as_ref().map(|e| {
-                            e.outcells
-                                .iter()
-                                .map(|oc| {
-                                    (
-                                        *oc,
-                                        op.map_payload(oc, &e.payload, input_idx, meta)
-                                            .unwrap_or_default(),
-                                    )
-                                })
-                                .collect()
-                        })
-                    });
-                parallel::parallel_map_min(queries, workers, 2, |_, query| {
-                    let mut out = empty_outcome();
-                    out.scanned = true;
-                    for regions in &mapped {
-                        out.entries_fetched += 1;
-                        let Some(regions) = regions else { continue };
-                        for (oc, incells) in regions {
-                            let hits: Vec<&Coord> =
-                                incells.iter().filter(|c| query.contains(c)).collect();
-                            if !hits.is_empty() {
-                                out.result.insert(oc);
-                                for c in &hits {
-                                    out.covered.insert(c);
-                                }
-                            }
-                        }
-                    }
-                    out
-                })
-            }
-            (LineageMode::Map | LineageMode::Blackbox, _, _) => {
-                queries.iter().map(|_| empty_outcome()).collect()
-            }
-        }
+        self.lookup_many(Direction::Forward, queries, input_idx, op, meta)
     }
 }
 
-/// Flattens per-shard outcome vectors back into query order.
-fn flatten(shards: Vec<Vec<LookupOutcome>>) -> Vec<LookupOutcome> {
-    shards.into_iter().flatten().collect()
+/// The store of an operator that a lookup in `direction` should use: the
+/// first whose index serves the direction, else the first one (which will
+/// scan).  `None` when the operator stores nothing.  The in-process query
+/// engine and the daemon's shards both choose through here, which is what
+/// keeps remote answers byte-identical to local ones.
+pub fn serving(stores: &mut [OpDatastore], direction: Direction) -> Option<&mut OpDatastore> {
+    let pick = stores
+        .iter()
+        .position(|d| d.strategy().serves(direction))
+        .unwrap_or(0);
+    stores.get_mut(pick)
 }
 
-/// One stored payload entry's resolved regions: each output cell paired with
-/// the input cells its mapping function produced.
-type MappedRegions = Vec<(Coord, Vec<Coord>)>;
+/// Answers every query with `answer`, fanning the batch out in contiguous
+/// shards pinned to the per-worker `states` (see
+/// [`parallel::parallel_chunks_stateful`]); outcomes come back in query
+/// order.
+fn fan_out<S: Send>(
+    queries: &[&CellSet],
+    states: &mut [S],
+    answer: impl Fn(&mut S, &CellSet) -> LookupOutcome + Sync,
+) -> Vec<LookupOutcome> {
+    parallel::parallel_chunks_stateful(queries, states, 2, |_, state, shard| {
+        shard
+            .iter()
+            .map(|query| answer(state, query))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
-/// Which cell-keyed record space of a mismatched scan feeds the join (the
-/// entry-keyed records are always decoded).
-#[derive(Clone, Copy)]
+/// Adds the cells of `cells` that `query` contains to `covered`, returning
+/// whether there were any.
+fn cover(covered: &mut CellSet, cells: &[Coord], query: &CellSet) -> bool {
+    let mut hit = false;
+    for c in cells.iter().filter(|c| query.contains(c)) {
+        covered.insert(c);
+        hit = true;
+    }
+    hit
+}
+
+/// Merges a scan join's accumulated linear indices into `set` at once.
+fn insert_all(set: &mut CellSet, mut idxs: Vec<u64>) {
+    idxs.sort_unstable();
+    idxs.dedup();
+    set.insert_sorted(&idxs);
+}
+
+/// One side of a stored region pair: its output cells, or the cells of one
+/// input.  A lookup reads its query cells on one side and answers with the
+/// other — output cells and input `input_idx` backward, the reverse forward
+/// — and a mismatched-direction scan joins on the cell-keyed records of the
+/// answer side (the side the store is indexed on).
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum RecordSide {
-    /// Backward-optimized store: output-cell records.
-    OutCells,
-    /// Forward-optimized store: the queried input's input-cell records.
-    InCells,
+    /// The output cells.
+    Out,
+    /// The cells of the given input.
+    In(usize),
+}
+
+impl RecordSide {
+    /// The `(query, answer)` sides of a lookup in `direction` about input
+    /// `input_idx`.
+    fn of(direction: Direction, input_idx: usize) -> (RecordSide, RecordSide) {
+        match direction {
+            Direction::Backward => (RecordSide::Out, RecordSide::In(input_idx)),
+            Direction::Forward => (RecordSide::In(input_idx), RecordSide::Out),
+        }
+    }
+
+    /// The shape of this side's array.
+    fn shape(self, out_shape: &Shape, in_shapes: &[Shape]) -> Shape {
+        match self {
+            RecordSide::Out => *out_shape,
+            RecordSide::In(i) => in_shapes[i],
+        }
+    }
+
+    /// The key of this side's cell record for `cell`.
+    fn cell_key(self, out_shape: &Shape, in_shapes: &[Shape], cell: &Coord) -> Vec<u8> {
+        match self {
+            RecordSide::Out => encoder::out_cell_key(out_shape, cell),
+            RecordSide::In(i) => encoder::in_cell_key(&in_shapes[i], i, cell),
+        }
+    }
+
+    /// This side's cells of a decoded entry (empty when the encoding omits
+    /// them).
+    fn cells(self, entry: &FullEntry) -> &[Coord] {
+        match self {
+            RecordSide::Out => &entry.outcells,
+            RecordSide::In(i) => entry.incells.get(i).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// This side's run of a columnar-decoded entry.
+    fn run(self, runs: FullEntryRuns) -> CellRun {
+        match self {
+            RecordSide::Out => runs.outcells,
+            RecordSide::In(_) => runs.incells,
+        }
+    }
 }
 
 /// The columnar result of one streamed scan over a `Full` datastore: every
@@ -1810,9 +1554,25 @@ impl ScanDecode {
             }));
     }
 
-    /// The entry-id slice of one cell record.
-    fn record_ids(&self, start: u32, len: u32) -> &[u64] {
-        &self.ids[start as usize..(start + len) as usize]
+    /// Every cell record's entry ids resolved once against the decoded
+    /// entries, as flat `(cell, index into entries)` pairs (ids without an
+    /// entry record drop out).
+    fn resolved_records(&self) -> Vec<(u64, usize)> {
+        let index: FxHashMap<u64, usize> = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(e, &(id, _))| (id, e))
+            .collect();
+        let mut resolved = Vec::with_capacity(self.records.len());
+        for &(cell, start, len) in &self.records {
+            for id in &self.ids[start as usize..(start + len) as usize] {
+                if let Some(&e) = index.get(id) {
+                    resolved.push((cell, e));
+                }
+            }
+        }
+        resolved
     }
 }
 
@@ -1838,7 +1598,7 @@ fn scan_full_decode(
         for part in parallel::parallel_chunks(block, workers, 64, |_, chunk| {
             let mut part = ScanDecode::default();
             for &(key, value) in chunk {
-                match decode_key_linear(out_cells, in_cells, key) {
+                let cell = match decode_key_linear(out_cells, in_cells, key) {
                     Ok(DecodedKeyLinear::Entry(id)) => {
                         let runs = decode_full_entry_frame(
                             &mut part.frame,
@@ -1849,28 +1609,21 @@ fn scan_full_decode(
                         )
                         .ok();
                         part.entries.push((id, runs));
+                        continue;
                     }
-                    Ok(DecodedKeyLinear::OutCell(cell))
-                        if matches!(records_from, RecordSide::OutCells) =>
-                    {
-                        let start = part.ids.len() as u32;
-                        // A torn value decodes to no ids, exactly as the
-                        // legacy row decoder treated it.
-                        let _ = decode_entry_ids_into(&mut part.ids, value);
-                        part.records
-                            .push((cell, start, part.ids.len() as u32 - start));
-                    }
+                    Ok(DecodedKeyLinear::OutCell(cell)) if records_from == RecordSide::Out => cell,
                     Ok(DecodedKeyLinear::InCell {
                         input_idx: i,
                         index,
-                    }) if matches!(records_from, RecordSide::InCells) && i == input_idx => {
-                        let start = part.ids.len() as u32;
-                        let _ = decode_entry_ids_into(&mut part.ids, value);
-                        part.records
-                            .push((index, start, part.ids.len() as u32 - start));
-                    }
-                    _ => {}
-                }
+                    }) if records_from == RecordSide::In(i) => index,
+                    _ => continue,
+                };
+                let start = part.ids.len() as u32;
+                // A torn value decodes to no ids, exactly as the legacy row
+                // decoder treated it.
+                let _ = decode_entry_ids_into(&mut part.ids, value);
+                part.records
+                    .push((cell, start, part.ids.len() as u32 - start));
             }
             part
         }) {
@@ -1972,6 +1725,20 @@ mod tests {
         CellSet::from_coords(shape, cells.iter().copied())
     }
 
+    /// One query's outcome, through the batched kernel.
+    fn lookup(
+        ds: &mut OpDatastore,
+        direction: Direction,
+        query: &CellSet,
+        input_idx: usize,
+        op: &dyn Operator,
+        m: &OpMeta,
+    ) -> LookupOutcome {
+        ds.lookup_many(direction, &[query], input_idx, op, m)
+            .pop()
+            .expect("one outcome per query")
+    }
+
     const _: OpId = 0;
 
     fn full_strategies() -> Vec<StorageStrategy> {
@@ -1999,7 +1766,7 @@ mod tests {
 
             // Backward: lineage of (0,1) in input 0 is {(1,1),(1,2)}.
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(0, 1)]);
-            let out = ds.lookup_backward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Backward, &q, 0, &op, &m);
             assert_eq!(
                 out.result.to_coords(),
                 vec![Coord::d2(1, 1), Coord::d2(1, 2)],
@@ -2007,12 +1774,12 @@ mod tests {
             );
             assert!(out.covered.contains(&Coord::d2(0, 1)));
             // Backward in input 1.
-            let out1 = ds.lookup_backward(&q, 1, &op, &m);
+            let out1 = lookup(&mut ds, Direction::Backward, &q, 1, &op, &m);
             assert_eq!(out1.result.to_coords(), vec![Coord::d2(7, 7)]);
 
             // Forward: input cell (6,6) of input 0 influenced output (5,5).
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(6, 6)]);
-            let out = ds.lookup_forward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Forward, &q, 0, &op, &m);
             assert_eq!(
                 out.result.to_coords(),
                 vec![Coord::d2(5, 5)],
@@ -2020,7 +1787,7 @@ mod tests {
             );
             // Forward query for a cell with no lineage is empty.
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(0, 0)]);
-            let out = ds.lookup_forward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Forward, &q, 0, &op, &m);
             assert!(out.result.is_empty(), "strategy {strategy}");
         }
     }
@@ -2033,7 +1800,7 @@ mod tests {
         let mut ds = OpDatastore::in_memory("t", StorageStrategy::full_one(), &m);
         ds.store_pair(&full_pair(&[Coord::d2(2, 2)], &[Coord::d2(3, 3)], &[]));
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(3, 3)]);
-        let out = ds.lookup_forward(&q, 0, &op, &m);
+        let out = lookup(&mut ds, Direction::Forward, &q, 0, &op, &m);
         assert!(out.scanned);
         assert_eq!(out.result.to_coords(), vec![Coord::d2(2, 2)]);
 
@@ -2041,7 +1808,7 @@ mod tests {
         let mut ds = OpDatastore::in_memory("t", StorageStrategy::full_one_forward(), &m);
         ds.store_pair(&full_pair(&[Coord::d2(2, 2)], &[Coord::d2(3, 3)], &[]));
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(2, 2)]);
-        let out = ds.lookup_backward(&q, 0, &op, &m);
+        let out = lookup(&mut ds, Direction::Backward, &q, 0, &op, &m);
         assert!(out.scanned);
         assert_eq!(out.result.to_coords(), vec![Coord::d2(3, 3)]);
 
@@ -2049,7 +1816,7 @@ mod tests {
         let mut ds = OpDatastore::in_memory("t", StorageStrategy::full_many(), &m);
         ds.store_pair(&full_pair(&[Coord::d2(2, 2)], &[Coord::d2(3, 3)], &[]));
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(2, 2)]);
-        assert!(!ds.lookup_backward(&q, 0, &op, &m).scanned);
+        assert!(!lookup(&mut ds, Direction::Backward, &q, 0, &op, &m).scanned);
     }
 
     #[test]
@@ -2068,17 +1835,17 @@ mod tests {
                 payload: vec![0],
             });
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(4, 4)]);
-            let out = ds.lookup_backward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Backward, &q, 0, &op, &m);
             assert_eq!(out.result.len(), 9, "strategy {strategy}");
             assert!(out.covered.contains(&Coord::d2(4, 4)));
 
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(0, 0)]);
-            let out = ds.lookup_backward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Backward, &q, 0, &op, &m);
             assert_eq!(out.result.to_coords(), vec![Coord::d2(0, 0)]);
 
             // Forward payload queries iterate all pairs.
             let q = query_of(Shape::d2(8, 8), &[Coord::d2(3, 4)]);
-            let out = ds.lookup_forward(&q, 0, &op, &m);
+            let out = lookup(&mut ds, Direction::Forward, &q, 0, &op, &m);
             assert!(out.scanned);
             assert_eq!(out.result.to_coords(), vec![Coord::d2(4, 4)]);
         }
@@ -2095,7 +1862,7 @@ mod tests {
             payload: vec![2],
         });
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(6, 6), Coord::d2(1, 1)]);
-        let out = ds.lookup_backward(&q, 0, &op, &m);
+        let out = lookup(&mut ds, Direction::Backward, &q, 0, &op, &m);
         assert!(out.covered.contains(&Coord::d2(6, 6)));
         assert!(!out.covered.contains(&Coord::d2(1, 1)));
         // The covered cell contributed its radius-2 neighbourhood (clipped).
@@ -2262,16 +2029,16 @@ mod tests {
             batched.store_batch(&pairs, 1);
             for i in 0..8 {
                 let q = query_of(shape, &[Coord::d2(i, i), Coord::d2(i, 7 - i)]);
-                let a = batched.lookup_backward(&q, 0, &op, &m);
-                let b = reference.lookup_backward(&q, 0, &op, &m);
+                let a = lookup(&mut batched, Direction::Backward, &q, 0, &op, &m);
+                let b = lookup(&mut reference, Direction::Backward, &q, 0, &op, &m);
                 assert_eq!(
                     a.result.to_coords(),
                     b.result.to_coords(),
                     "backward differs for {strategy}"
                 );
                 assert_eq!(a.covered.to_coords(), b.covered.to_coords());
-                let a = batched.lookup_forward(&q, 0, &op, &m);
-                let b = reference.lookup_forward(&q, 0, &op, &m);
+                let a = lookup(&mut batched, Direction::Forward, &q, 0, &op, &m);
+                let b = lookup(&mut reference, Direction::Forward, &q, 0, &op, &m);
                 assert_eq!(
                     a.result.to_coords(),
                     b.result.to_coords(),
@@ -2292,13 +2059,17 @@ mod tests {
         // Build the index, then add a straggler through the per-pair path.
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(1, 1)]);
         assert_eq!(
-            ds.lookup_backward(&q, 0, &op, &m).result.to_coords(),
+            lookup(&mut ds, Direction::Backward, &q, 0, &op, &m)
+                .result
+                .to_coords(),
             vec![Coord::d2(2, 2)]
         );
         ds.store_pair(&full_pair(&[Coord::d2(5, 5)], &[Coord::d2(6, 6)], &[]));
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(5, 5)]);
         assert_eq!(
-            ds.lookup_backward(&q, 0, &op, &m).result.to_coords(),
+            lookup(&mut ds, Direction::Backward, &q, 0, &op, &m)
+                .result
+                .to_coords(),
             vec![Coord::d2(6, 6)]
         );
         assert_eq!(ds.pairs_stored(), 2);
@@ -2331,34 +2102,26 @@ mod tests {
         for strategy in all_strategies() {
             let mut ds = OpDatastore::in_memory("t", strategy, &m);
             ds.store_batch(&pairs, 1);
-            for input_idx in 0..2 {
-                let many = ds.lookup_backward_many(&refs, input_idx, &op, &m);
+            for (input_idx, direction) in [0, 1]
+                .into_iter()
+                .flat_map(|i| [(i, Direction::Backward), (i, Direction::Forward)])
+            {
+                let many = ds.lookup_many(direction, &refs, input_idx, &op, &m);
                 assert_eq!(many.len(), refs.len());
                 for (q, outcome) in query_sets.iter().zip(&many) {
-                    let single = ds.lookup_backward(q, input_idx, &op, &m);
+                    let single = lookup(&mut ds, direction, q, input_idx, &op, &m);
+                    let case = format!("{strategy} {direction:?} input {input_idx}");
                     assert_eq!(
                         outcome.result.to_coords(),
                         single.result.to_coords(),
-                        "backward result differs for {strategy} input {input_idx}"
+                        "result differs for {case}"
                     );
                     assert_eq!(outcome.covered.to_coords(), single.covered.to_coords());
-                    assert_eq!(outcome.scanned, single.scanned, "scanned flag {strategy}");
+                    assert_eq!(outcome.scanned, single.scanned, "scanned flag {case}");
                     assert_eq!(
                         outcome.entries_fetched, single.entries_fetched,
-                        "fetch accounting differs for {strategy} input {input_idx}"
+                        "fetch accounting differs for {case}"
                     );
-                }
-                let many = ds.lookup_forward_many(&refs, input_idx, &op, &m);
-                for (q, outcome) in query_sets.iter().zip(&many) {
-                    let single = ds.lookup_forward(q, input_idx, &op, &m);
-                    assert_eq!(
-                        outcome.result.to_coords(),
-                        single.result.to_coords(),
-                        "forward result differs for {strategy} input {input_idx}"
-                    );
-                    assert_eq!(outcome.covered.to_coords(), single.covered.to_coords());
-                    assert_eq!(outcome.scanned, single.scanned);
-                    assert_eq!(outcome.entries_fetched, single.entries_fetched);
                 }
             }
         }
@@ -2388,10 +2151,10 @@ mod tests {
             .map(|i| query_of(shape, &[Coord::d2(i, i), Coord::d2(i + 1, i)]))
             .collect();
         let refs: Vec<&CellSet> = query_sets.iter().collect();
-        let many = ds.lookup_backward_many(&refs, 0, &op, &m);
+        let many = ds.lookup_many(Direction::Backward, &refs, 0, &op, &m);
         for (q, outcome) in query_sets.iter().zip(&many) {
             assert!(outcome.scanned, "mismatched direction must scan");
-            let single = ds.lookup_backward(q, 0, &op, &m);
+            let single = lookup(&mut ds, Direction::Backward, q, 0, &op, &m);
             assert_eq!(outcome.result.to_coords(), single.result.to_coords());
             assert_eq!(outcome.covered.to_coords(), single.covered.to_coords());
         }
@@ -2404,10 +2167,12 @@ mod tests {
         let op = RadiusOp;
         let mut ds = OpDatastore::in_memory("t", StorageStrategy::full_many(), &m);
         ds.store_pair(&full_pair(&[Coord::d2(2, 2)], &[Coord::d2(3, 3)], &[]));
-        assert!(ds.lookup_backward_many(&[], 0, &op, &m).is_empty());
+        assert!(ds
+            .lookup_many(Direction::Backward, &[], 0, &op, &m)
+            .is_empty());
         let empty = CellSet::empty(Shape::d2(8, 8));
         let full = query_of(Shape::d2(8, 8), &[Coord::d2(2, 2)]);
-        let outs = ds.lookup_backward_many(&[&empty, &full], 0, &op, &m);
+        let outs = ds.lookup_many(Direction::Backward, &[&empty, &full], 0, &op, &m);
         assert!(outs[0].result.is_empty());
         assert_eq!(outs[1].result.to_coords(), vec![Coord::d2(3, 3)]);
     }
@@ -2460,12 +2225,12 @@ mod tests {
                 for i in 0..4 {
                     let q = query_of(shape, &[Coord::d2(i, i), Coord::d2(0, 0)]);
                     for input_idx in 0..2 {
-                        let a = batched.lookup_backward(&q, input_idx, &op, &m);
-                        let b = reference.lookup_backward(&q, input_idx, &op, &m);
+                        let a = lookup(&mut batched, Direction::Backward, &q, input_idx, &op, &m);
+                        let b = lookup(&mut reference, Direction::Backward, &q, input_idx, &op, &m);
                         assert_eq!(a.result.to_coords(), b.result.to_coords());
                         assert_eq!(a.covered.to_coords(), b.covered.to_coords());
-                        let a = batched.lookup_forward(&q, input_idx, &op, &m);
-                        let b = reference.lookup_forward(&q, input_idx, &op, &m);
+                        let a = lookup(&mut batched, Direction::Forward, &q, input_idx, &op, &m);
+                        let b = lookup(&mut reference, Direction::Forward, &q, input_idx, &op, &m);
                         assert_eq!(a.result.to_coords(), b.result.to_coords());
                     }
                 }
@@ -2486,8 +2251,16 @@ mod tests {
         for i in 0..8 {
             let q = query_of(shape, &[Coord::d2(i, i), Coord::d2(i, (i + 3) % 8)]);
             for input_idx in 0..2 {
-                answers.push(ds.lookup_backward(&q, input_idx, op, m).result.to_coords());
-                answers.push(ds.lookup_forward(&q, input_idx, op, m).result.to_coords());
+                answers.push(
+                    lookup(ds, Direction::Backward, &q, input_idx, op, m)
+                        .result
+                        .to_coords(),
+                );
+                answers.push(
+                    lookup(ds, Direction::Forward, &q, input_idx, op, m)
+                        .result
+                        .to_coords(),
+                );
             }
         }
         answers
@@ -2625,7 +2398,7 @@ mod tests {
         back.store_batch(&[full_pair(&[Coord::d2(0, 7)], &[Coord::d2(7, 7)], &[])], 1);
         back.finish_ingest();
         let q = query_of(Shape::d2(8, 8), &[Coord::d2(0, 7)]);
-        let out = back.lookup_backward(&q, 0, &op, &m);
+        let out = lookup(&mut back, Direction::Backward, &q, 0, &op, &m);
         assert!(out.result.contains(&Coord::d2(7, 7)));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -23,7 +23,7 @@
 //! * [`datastore`] — one [`OpDatastore`] per
 //!   (operator, strategy): hash entries in a [`subzero_store`] database plus
 //!   an R-tree over the key cells for the *Many* encodings.  Lookups are
-//!   batch-oriented (`lookup_backward_many`): one call answers many queries,
+//!   batch-oriented (`lookup_many`): one call answers many queries,
 //!   sharing decoded entries and — on a mismatched index direction — the
 //!   single streamed full scan.
 //! * [`runtime`] — the [`Runtime`] lineage collector that

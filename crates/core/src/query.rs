@@ -48,7 +48,7 @@ use subzero_engine::executor::{EngineError, WorkflowRun};
 use subzero_engine::paths::{self, ArrayNode, Edge, PathError};
 use subzero_engine::{Engine, InputSource, LineageMode, OpId, OperatorExt, RegionPair, Workflow};
 
-use crate::datastore::LookupOutcome;
+use crate::datastore::{self, LookupOutcome};
 use crate::model::Direction;
 use crate::reexec;
 use crate::runtime::Runtime;
@@ -674,22 +674,9 @@ impl<'a> StepEngine<'a> {
         let mut stored_outcomes: HashMap<usize, LookupOutcome> = HashMap::new();
         if !stored_idx.is_empty() {
             let group: Vec<&CellSet> = stored_idx.iter().map(|&i| &currents[i]).collect();
-            // Prefer a datastore whose index direction matches the query;
-            // fall back to any available one (which will scan).
             let stores = self.runtime.datastores(run.run_id, op_id);
-            let pick = stores
-                .iter()
-                .position(|d| d.strategy().serves(direction))
-                .or(if stores.is_empty() { None } else { Some(0) });
-            let outcomes = match pick {
-                Some(idx) => match direction {
-                    Direction::Backward => {
-                        stores[idx].lookup_backward_many(&group, input_idx, op, meta)
-                    }
-                    Direction::Forward => {
-                        stores[idx].lookup_forward_many(&group, input_idx, op, meta)
-                    }
-                },
+            let outcomes = match datastore::serving(stores, direction) {
+                Some(store) => store.lookup_many(direction, &group, input_idx, op, meta),
                 None => group
                     .iter()
                     .map(|_| LookupOutcome {

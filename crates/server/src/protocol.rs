@@ -153,7 +153,7 @@ pub struct LookupStep {
     /// Which operator input the step traverses.
     pub input_idx: u32,
     /// Per-query cell sets (the shared-batch shape of
-    /// [`OpDatastore::lookup_backward_many`](subzero::datastore::OpDatastore::lookup_backward_many)).
+    /// [`OpDatastore::lookup_many`](subzero::datastore::OpDatastore::lookup_many)).
     pub queries: Vec<CellSet>,
 }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use subzero::capture::BoundedQueue;
-use subzero::datastore::OpDatastore;
+use subzero::datastore::{serving, OpDatastore};
 use subzero::model::{Direction, StorageStrategy};
 use subzero::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use subzero::sync::{lock_or_recover, wait_or_recover, Condvar, Mutex};
@@ -557,22 +557,13 @@ impl Worker {
                 ));
             }
         }
-        // Prefer a datastore whose index direction matches the query; fall
-        // back to the first one (which will scan) — the same choice the
-        // in-process query engine makes, which is what keeps remote answers
-        // byte-identical to local ones.
-        let pick = state
-            .stores
-            .iter()
-            .position(|d| d.strategy().serves(step.direction))
-            .unwrap_or(0);
-        let store = &mut state.stores[pick];
-        let refs: Vec<&CellSet> = step.queries.iter().collect();
-        let op = RemoteOp;
-        let outcomes = match step.direction {
-            Direction::Backward => store.lookup_backward_many(&refs, input_idx, &op, &state.meta),
-            Direction::Forward => store.lookup_forward_many(&refs, input_idx, &op, &state.meta),
+        // The same store choice the in-process query engine makes, which is
+        // what keeps remote answers byte-identical to local ones.
+        let Some(store) = serving(&mut state.stores, step.direction) else {
+            return Err(format!("op {} stores no lineage", step.op_id));
         };
+        let refs: Vec<&CellSet> = step.queries.iter().collect();
+        let outcomes = store.lookup_many(step.direction, &refs, input_idx, &RemoteOp, &state.meta);
         self.shard
             .counters
             .lookup_steps

@@ -57,14 +57,17 @@ fn externals(rows: u32, cols: u32) -> HashMap<String, Array> {
     m
 }
 
-/// A direction-diverse strategy assignment: one op serves backward only, one
-/// serves both directions, one stores many-granularity pairs.
+/// A direction-diverse strategy assignment that reaches every arm of the
+/// lookup kernel through the daemon: op 0 is indexed forward only (backward
+/// queries scan its input-cell records), op 1 is indexed both ways at both
+/// granularities, op 2 is indexed backward only (forward queries scan its
+/// many-granularity entries).
 fn strategies_for(op: OpId) -> Vec<StorageStrategy> {
     match op {
-        0 => vec![StorageStrategy::full_one()],
+        0 => vec![StorageStrategy::full_one_forward()],
         1 => vec![
             StorageStrategy::full_one(),
-            StorageStrategy::full_one_forward(),
+            StorageStrategy::full_many_forward(),
         ],
         _ => vec![StorageStrategy::full_many()],
     }
