@@ -42,8 +42,8 @@ const RUNS_MAX: usize = 2047;
 
 /// How many containers of each representation a [`CellSet`] currently uses.
 ///
-/// Reported by [`CellSet::repr_counts`]; the server bench records the mix of
-/// answer representations in its `BENCH_server.json` stanza.
+/// Reported by [`CellSet::repr_counts`]; the benchmark of record reports the
+/// mix of answer representations as `server.protocol.answer_containers_*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReprCounts {
     /// Chunks stored as sorted `u16` vectors.

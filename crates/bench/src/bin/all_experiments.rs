@@ -1,8 +1,9 @@
-//! Runs every figure harness in sequence (default, reduced scale).
+//! Runs the five figure binaries in sequence: `fig5_astronomy`,
+//! `fig6_genomics`, `fig7_optimizer`, `fig8_micro_overhead` and
+//! `fig9_micro_query`, each printing its tables to stdout.
 //!
-//! Equivalent to running `fig5_astronomy`, `fig6_genomics`, `fig7_optimizer`,
-//! `fig8_micro_overhead` and `fig9_micro_query` one after the other; useful
-//! for regenerating all of EXPERIMENTS.md in one go.
+//! Every command-line argument is passed through to each binary (e.g.
+//! `--paper-scale`); the run stops at the first binary that fails.
 
 use std::process::Command;
 

@@ -11,7 +11,6 @@
 //! traversal from the workflow DAG at execution time.
 
 use std::collections::HashMap;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,23 +20,6 @@ use subzero::SubZero;
 use subzero_array::Array;
 use subzero_engine::executor::WorkflowRun;
 use subzero_engine::Workflow;
-
-/// Parses `--name V` or `--name=V` from the process arguments (shared by
-/// the bench binaries' ad-hoc knobs, e.g. `--dedup-rate 0.5` or
-/// `--flushers 4`).  Returns `None` when the flag is absent or its value
-/// fails to parse.
-pub fn arg_value<T: FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return v.parse().ok();
-        }
-        if a == name {
-            return args.get(i + 1).and_then(|v| v.parse().ok());
-        }
-    }
-    None
-}
 
 /// A lineage query with a display name and per-query executor options.
 #[derive(Clone, Debug)]

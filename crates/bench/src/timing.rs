@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so criterion is not
 //! available; this module provides the small slice of it the benches need:
-//! auto-calibrated measurement loops, per-iteration times, throughput, and a
-//! uniform one-line report format that is easy to grep and to parse.
+//! auto-calibrated measurement loops, per-iteration times, and a uniform
+//! one-line report format that is easy to grep and to parse.
 
 use std::time::{Duration, Instant};
 
@@ -26,22 +26,6 @@ impl Sample {
         } else {
             self.total / self.iters as u32
         }
-    }
-
-    /// Iterations per second.
-    pub fn per_sec(&self) -> f64 {
-        let secs = self.total.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.iters as f64 / secs
-        }
-    }
-
-    /// `elements_per_iter / seconds_per_iter` — throughput for benches whose
-    /// iteration processes a known number of elements.
-    pub fn throughput(&self, elements_per_iter: u64) -> f64 {
-        self.per_sec() * elements_per_iter as f64
     }
 
     /// The standard one-line report.
@@ -126,8 +110,6 @@ mod tests {
         assert_eq!(count, s.iters + 1);
         assert!(s.total >= Duration::from_millis(5));
         assert!(s.per_iter() > Duration::ZERO);
-        assert!(s.per_sec() > 0.0);
-        assert!(s.throughput(10) > s.per_sec());
     }
 
     #[test]

@@ -1678,8 +1678,11 @@ impl std::fmt::Debug for OpDatastore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use subzero_array::{Array, ArrayRef};
     use subzero_engine::{LineageSink, OpId};
+    use subzero_store::kv::{FileBackend, KvPair, KvRef};
 
     /// A toy payload operator: payload byte r means "depends on the
     /// neighbourhood of radius r around the output cell".
@@ -2127,17 +2130,91 @@ mod tests {
         }
     }
 
+    /// A [`KvBackend`] that delegates every call to `inner` and counts the
+    /// full scans (`scan_batch`/`scan_slices`) it serves.
+    struct CountingBackend {
+        inner: Box<dyn KvBackend>,
+        scans: Arc<AtomicUsize>,
+    }
+
+    impl KvBackend for CountingBackend {
+        fn put(&mut self, key: &[u8], value: &[u8]) {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn contains(&self, key: &[u8]) -> bool {
+            self.inner.contains(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn is_empty(&self) -> bool {
+            self.inner.is_empty()
+        }
+        fn iter(&self) -> Box<dyn Iterator<Item = (Vec<u8>, Vec<u8>)> + '_> {
+            self.inner.iter()
+        }
+        fn bytes_used(&self) -> usize {
+            self.inner.bytes_used()
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+        fn log_len(&self) -> Option<u64> {
+            self.inner.log_len()
+        }
+        fn compact(&mut self) -> std::io::Result<u64> {
+            self.inner.compact()
+        }
+        fn file_path(&self) -> Option<&std::path::Path> {
+            self.inner.file_path()
+        }
+        fn persist_stamp(&self) -> u64 {
+            self.inner.persist_stamp()
+        }
+        fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
+            self.inner.put_batch(items)
+        }
+        fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
+            self.inner.put_batch_slices(items)
+        }
+        fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
+            self.inner.merge_append_batch(items)
+        }
+        fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
+            self.inner.write_group(puts, appends)
+        }
+        fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
+            self.scans.fetch_add(1, Ordering::SeqCst);
+            self.inner.scan_batch(block, visit)
+        }
+        fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
+            self.scans.fetch_add(1, Ordering::SeqCst);
+            self.inner.scan_slices(block, visit)
+        }
+    }
+
     #[test]
     fn lookup_many_shares_scans_on_file_backend() {
         // The batched mismatched-direction lookup over the file backend must
-        // agree with singles (exercises FileBackend::scan_batch's sequential
-        // path end to end).
+        // agree with singles (exercises FileBackend::scan_slices' sequential
+        // path end to end) and stream the log once for the whole batch, where
+        // the same queries one at a time stream it once each.
         let dir = std::env::temp_dir().join(format!("subzero-ds-scan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let m = meta();
         let op = RadiusOp;
-        let backend = subzero_store::kv::FileBackend::open(&dir.join("scan.kv")).unwrap();
+        let scans = Arc::new(AtomicUsize::new(0));
+        let backend = CountingBackend {
+            inner: Box::new(FileBackend::open(&dir.join("scan.kv")).unwrap()),
+            scans: Arc::clone(&scans),
+        };
         let mut ds = OpDatastore::new(
             "t",
             StorageStrategy::full_one_forward(),
@@ -2151,10 +2228,24 @@ mod tests {
             .map(|i| query_of(shape, &[Coord::d2(i, i), Coord::d2(i + 1, i)]))
             .collect();
         let refs: Vec<&CellSet> = query_sets.iter().collect();
+
+        scans.store(0, Ordering::SeqCst);
         let many = ds.lookup_many(Direction::Backward, &refs, 0, &op, &m);
-        for (q, outcome) in query_sets.iter().zip(&many) {
+        assert_eq!(scans.load(Ordering::SeqCst), 1, "one scan serves the batch");
+
+        scans.store(0, Ordering::SeqCst);
+        let singles: Vec<LookupOutcome> = query_sets
+            .iter()
+            .map(|q| lookup(&mut ds, Direction::Backward, q, 0, &op, &m))
+            .collect();
+        assert_eq!(
+            scans.load(Ordering::SeqCst),
+            query_sets.len(),
+            "one scan per single lookup"
+        );
+
+        for (outcome, single) in many.iter().zip(&singles) {
             assert!(outcome.scanned, "mismatched direction must scan");
-            let single = lookup(&mut ds, Direction::Backward, q, 0, &op, &m);
             assert_eq!(outcome.result.to_coords(), single.result.to_coords());
             assert_eq!(outcome.covered.to_coords(), single.covered.to_coords());
         }

@@ -256,6 +256,30 @@ fn concurrent_remote_clients_match_in_process_query_session() {
         assert_eq!(fwd, ref_fwd, "forward parity");
     }
 
+    // One query per request answers exactly what the batched requests did.
+    {
+        let mut client = Client::connect(&socket).expect("connect");
+        let session = client.open_session("parity", specs).expect("reattach");
+        let metas: Vec<(OpId, OpMeta)> = shapes
+            .iter()
+            .map(|(op, ins, out)| (*op, OpMeta::new(ins.clone(), *out)))
+            .collect();
+        let mut remote = RemoteSession::new(&mut client, session, &wf, metas);
+        let img = ArrayNode::External("img".into());
+        for (batch, expected) in back_batches.iter().zip(&ref_img) {
+            let single = remote
+                .backward_many(2, &img, std::slice::from_ref(batch))
+                .expect("single remote backward");
+            assert_eq!(&single[0], expected, "single-query backward parity");
+        }
+        for (batch, expected) in fwd_batches.iter().zip(&ref_fwd) {
+            let single = remote
+                .forward_many(&img, 2, std::slice::from_ref(batch))
+                .expect("single remote forward");
+            assert_eq!(&single[0], expected, "single-query forward parity");
+        }
+    }
+
     server.shutdown_and_wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -348,7 +348,7 @@ fn scan_blocks(iter: impl Iterator<Item = KvPair>, block: usize, visit: &mut dyn
 /// The table is keyed through the [`FxHasher`](crate::hash::FxHasher):
 /// one-granularity ingest resolves a key per stored cell, and with short
 /// structured keys the default SipHash costs more than the bucket operation
-/// it guards (see `BENCH_ingest.json` for the measured effect).
+/// it guards.
 #[derive(Default, Debug)]
 pub struct MemBackend {
     map: FxHashMap<IndexKey, Vec<u8>>,

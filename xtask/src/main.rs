@@ -18,22 +18,17 @@
 //! * `hot-loop-timing` — no `Instant::now` in the codec/encode hot paths
 //!   (`crates/array`, `crates/store`, `crates/core/src/encoder.rs`): timing
 //!   belongs to the runtime/statistics layers; a clock read per element
-//!   wrecks the arena encode throughput the benches guard.
+//!   wrecks arena encode throughput.
 //! * `unsafe-outside-mmap` — `subzero-store` keeps every `unsafe` block in
 //!   `crates/store/src/mmap.rs` (the audited mmap read-path module); the
 //!   token anywhere else in the crate's library code is rejected so the
 //!   zero-copy surface stays reviewable in one place.
-//! * `bench-stanza-drift` — every key in the committed `BENCH_*.json`
-//!   snapshots must be declared in `ci/bench_guard.py`'s `STANZA_KEYS`
-//!   table (and vice versa), so the CI guard can never silently ignore a
-//!   renamed or newly-added stanza.
 //!
 //! The lints are text-based by design: no `syn`, no network, no
 //! dependencies — they run anywhere the repository checks out.  Each lint's
 //! firing condition is pinned by a self-test seeding a violation (`cargo
 //! test -p xtask`).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -326,237 +321,6 @@ fn lint_rust_source(path: &str, content: &str) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// L4: bench-stanza-drift
-// ---------------------------------------------------------------------------
-
-/// The declared schema of one snapshot: exact top-level and `workload` key
-/// sets, with the guard-file line the entry starts on.
-#[derive(Debug, Default)]
-struct DeclaredStanza {
-    top: BTreeSet<String>,
-    workload: BTreeSet<String>,
-    line: usize,
-}
-
-/// Extracts the `STANZA_KEYS` table from `ci/bench_guard.py` source text.
-/// The table is a plain dict of string lists precisely so this parser (and
-/// human reviewers) never need a Python interpreter.
-fn parse_stanza_keys(guard_src: &str) -> Vec<(String, DeclaredStanza)> {
-    let mut entries: Vec<(String, DeclaredStanza)> = Vec::new();
-    let mut in_table = false;
-    let mut section: Option<&'static str> = None;
-    for (idx, raw) in guard_src.lines().enumerate() {
-        let line = raw.trim();
-        if !in_table {
-            if line.starts_with("STANZA_KEYS") && line.contains('{') {
-                in_table = true;
-            }
-            continue;
-        }
-        if line.starts_with('}') && !line.starts_with("},") {
-            break; // end of STANZA_KEYS
-        }
-        if let Some(rest) = line.strip_prefix('"') {
-            if let Some(end) = rest.find('"') {
-                let name = &rest[..end];
-                let after = &rest[end + 1..];
-                if name.starts_with("BENCH_") && after.contains(':') && after.contains('{') {
-                    entries.push((
-                        name.to_string(),
-                        DeclaredStanza {
-                            line: idx + 1,
-                            ..DeclaredStanza::default()
-                        },
-                    ));
-                    section = None;
-                    continue;
-                }
-                if name == "top" || name == "workload" {
-                    section = Some(if name == "top" { "top" } else { "workload" });
-                }
-            }
-        }
-        if let (Some(sec), Some((_, entry))) = (section, entries.last_mut()) {
-            let target = if sec == "top" {
-                &mut entry.top
-            } else {
-                &mut entry.workload
-            };
-            // Collect every quoted string on the line except the section
-            // label itself.
-            let mut rest = line;
-            let mut strings = Vec::new();
-            while let Some(start) = rest.find('"') {
-                let tail = &rest[start + 1..];
-                let Some(end) = tail.find('"') else { break };
-                strings.push(&tail[..end]);
-                rest = &tail[end + 1..];
-            }
-            for s in strings {
-                if s != sec {
-                    target.insert(s.to_string());
-                }
-            }
-            if line.contains(']') {
-                section = None;
-            }
-        }
-    }
-    entries
-}
-
-/// Object keys found in one snapshot section, each with its 1-based line.
-type KeyedLines = Vec<(String, usize)>;
-
-/// Extracts the top-level and `workload` object keys (with 1-based lines)
-/// from a `BENCH_*.json` snapshot.  A tiny event scanner, not a full JSON
-/// parser: it tracks object/array nesting and which object each key string
-/// belongs to — keys inside `results` arrays are deliberately out of scope.
-fn json_stanza_keys(content: &str) -> (KeyedLines, KeyedLines) {
-    enum Frame {
-        Obj(Option<String>),
-        Arr,
-    }
-    let mut top = Vec::new();
-    let mut workload = Vec::new();
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut pending_key: Option<String> = None;
-    let mut line = 1usize;
-    let mut chars = content.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\n' => line += 1,
-            '"' => {
-                let mut s = String::new();
-                let mut escaped = false;
-                for c in chars.by_ref() {
-                    if escaped {
-                        s.push(c);
-                        escaped = false;
-                    } else if c == '\\' {
-                        escaped = true;
-                    } else if c == '"' {
-                        break;
-                    } else {
-                        if c == '\n' {
-                            line += 1;
-                        }
-                        s.push(c);
-                    }
-                }
-                // A string is a key iff the next non-whitespace char is ':'.
-                let mut is_key = false;
-                while let Some(&n) = chars.peek() {
-                    if n.is_whitespace() {
-                        if n == '\n' {
-                            line += 1;
-                        }
-                        chars.next();
-                    } else {
-                        is_key = n == ':';
-                        break;
-                    }
-                }
-                if is_key && matches!(stack.last(), Some(Frame::Obj(_))) {
-                    if stack.len() == 1 {
-                        top.push((s.clone(), line));
-                    } else if stack.len() == 2
-                        && matches!(&stack[1], Frame::Obj(Some(k)) if k == "workload")
-                    {
-                        workload.push((s.clone(), line));
-                    }
-                    pending_key = Some(s);
-                }
-            }
-            '{' => stack.push(Frame::Obj(pending_key.take())),
-            '[' => {
-                pending_key = None;
-                stack.push(Frame::Arr);
-            }
-            '}' | ']' => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    (top, workload)
-}
-
-/// Cross-checks the committed snapshots against the guard's declared
-/// schema, in both directions.
-fn lint_bench_stanzas(
-    guard_path: &str,
-    guard_src: &str,
-    snapshots: &[(String, String)],
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let declared = parse_stanza_keys(guard_src);
-    if declared.is_empty() {
-        out.push(diag(
-            guard_path,
-            1,
-            "bench-stanza-drift",
-            "no STANZA_KEYS table found — the bench guard cannot pin snapshot schemas".to_string(),
-        ));
-        return out;
-    }
-    for (name, content) in snapshots {
-        let Some((_, decl)) = declared.iter().find(|(n, _)| n == name) else {
-            out.push(diag(
-                name,
-                1,
-                "bench-stanza-drift",
-                format!("snapshot has no STANZA_KEYS entry in {guard_path}"),
-            ));
-            continue;
-        };
-        let (top, workload) = json_stanza_keys(content);
-        for (section, found, expected) in [
-            ("top-level", &top, &decl.top),
-            ("workload", &workload, &decl.workload),
-        ] {
-            for (key, line) in found {
-                if !expected.contains(key) {
-                    out.push(diag(
-                        name,
-                        *line,
-                        "bench-stanza-drift",
-                        format!(
-                            "{section} key {key:?} is not declared in {guard_path} \
-                             STANZA_KEYS — the CI guard would silently ignore it"
-                        ),
-                    ));
-                }
-            }
-            let found_names: BTreeSet<&str> = found.iter().map(|(k, _)| k.as_str()).collect();
-            for key in expected {
-                if !found_names.contains(key.as_str()) {
-                    out.push(diag(
-                        guard_path,
-                        decl.line,
-                        "bench-stanza-drift",
-                        format!(
-                            "{name}: declared {section} key {key:?} is missing from the snapshot"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    for (name, decl) in &declared {
-        if !snapshots.iter().any(|(n, _)| n == name) {
-            out.push(diag(
-                guard_path,
-                decl.line,
-                "bench-stanza-drift",
-                format!("STANZA_KEYS declares {name} but no such snapshot exists"),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Filesystem driver
 // ---------------------------------------------------------------------------
 
@@ -599,22 +363,6 @@ fn run_lints(root: &Path) -> Result<Vec<Diagnostic>, String> {
             std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
         diagnostics.extend(lint_rust_source(&rel, &content));
     }
-    let guard_rel = "ci/bench_guard.py";
-    let guard_src = std::fs::read_to_string(root.join(guard_rel))
-        .map_err(|e| format!("read {guard_rel}: {e}"))?;
-    let mut snapshots = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(root) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                let content = std::fs::read_to_string(entry.path())
-                    .map_err(|e| format!("read {name}: {e}"))?;
-                snapshots.push((name, content));
-            }
-        }
-    }
-    snapshots.sort();
-    diagnostics.extend(lint_bench_stanzas(guard_rel, &guard_src, &snapshots));
     diagnostics.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(diagnostics)
 }
@@ -836,73 +584,6 @@ mod tests {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n    }\n}\nfn b() {}\n";
         let mask = test_region_mask(src);
         assert_eq!(mask, vec![false, true, true, true, true, true, false]);
-    }
-
-    const GUARD: &str = r#"
-STANZA_KEYS = {
-    "BENCH_a.json": {
-        "top": ["results", "workload"],
-        "workload": ["encode", "workers"],
-    },
-}
-"#;
-
-    #[test]
-    fn bench_stanza_clean_when_schema_matches() {
-        let snap = r#"{"results": [{"nested": 1}], "workload": {"encode": "arena", "workers": 4}}"#;
-        let diags = lint_bench_stanzas(
-            "ci/bench_guard.py",
-            GUARD,
-            &[("BENCH_a.json".into(), snap.into())],
-        );
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn bench_stanza_fires_on_unknown_and_missing_keys() {
-        // `extra` is undeclared; `workers` is declared but absent.
-        let snap = r#"{"results": [], "extra": 1, "workload": {"encode": "arena"}}"#;
-        let diags = lint_bench_stanzas(
-            "ci/bench_guard.py",
-            GUARD,
-            &[("BENCH_a.json".into(), snap.into())],
-        );
-        let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("\"extra\"") && m.contains("not declared")),
-            "{msgs:?}"
-        );
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("\"workers\"") && m.contains("missing")),
-            "{msgs:?}"
-        );
-    }
-
-    #[test]
-    fn bench_stanza_fires_on_undeclared_snapshot() {
-        let diags = lint_bench_stanzas(
-            "ci/bench_guard.py",
-            GUARD,
-            &[("BENCH_new.json".into(), "{}".into())],
-        );
-        assert!(diags
-            .iter()
-            .any(|d| d.file == "BENCH_new.json" && d.message.contains("no STANZA_KEYS entry")));
-        // And the declared-but-deleted direction.
-        let diags = lint_bench_stanzas("ci/bench_guard.py", GUARD, &[]);
-        assert!(diags.iter().any(|d| d.message.contains("no such snapshot")));
-    }
-
-    #[test]
-    fn json_key_scanner_scopes_nesting() {
-        let src = r#"{"a": 1, "workload": {"w1": {"deep": 2}, "w2": []}, "b": [{"inner": 3}]}"#;
-        let (top, workload) = json_stanza_keys(src);
-        let top: Vec<&str> = top.iter().map(|(k, _)| k.as_str()).collect();
-        let wl: Vec<&str> = workload.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(top, vec!["a", "workload", "b"]);
-        assert_eq!(wl, vec!["w1", "w2"], "deep/inner keys must not leak");
     }
 
     #[test]
