@@ -27,9 +27,9 @@ use subzero_store::kv::{Database, KvBackend, MemBackend};
 use subzero_store::RTree;
 
 use crate::encoder::{
-    self, decode_entry_ids, decode_entry_ids_into, decode_full_entry, decode_full_entry_frame,
-    decode_key, decode_key_linear, decode_pay_entry, decode_payloads, DecodedKey, DecodedKeyLinear,
-    FullEntry, FullEntryRuns, PackedCellKey, PayEntry,
+    self, decode_entry_ids_into, decode_full_entry, decode_full_entry_frame, decode_key,
+    decode_key_linear, decode_pay_entry, decode_payloads, DecodedKey, DecodedKeyLinear,
+    FullEntryRuns, PackedCellKey, PayEntry,
 };
 use crate::model::{Direction, Granularity, StorageStrategy};
 use crate::parallel;
@@ -196,21 +196,16 @@ fn entry_key_arena(base_id: u64, count: usize) -> (Arena, Vec<Span>) {
 /// block of decoded records stays cache-resident.
 const SCAN_BLOCK: usize = 1024;
 
-/// Decoded-entry cache shared by every query of one batched lookup: each
-/// hash entry is fetched and decoded at most once per batch, however many
-/// queries (or query cells) reference it.
+/// Decoded payload-entry cache shared by every query of one batched
+/// lookup: each hash entry is fetched and decoded at most once per batch,
+/// however many queries reference it.
+#[derive(Default)]
 struct EntryCache<T> {
     /// entry id -> (a body existed, decoded entry if decoding succeeded)
     map: HashMap<u64, (bool, Option<T>)>,
 }
 
 impl<T> EntryCache<T> {
-    fn new() -> Self {
-        EntryCache {
-            map: HashMap::new(),
-        }
-    }
-
     /// Returns whether a body exists for `id` (for per-query fetch
     /// accounting) and the decoded entry, fetching and decoding on first use.
     ///
@@ -240,20 +235,88 @@ impl<T> EntryCache<T> {
     }
 }
 
+/// Per-worker columnar cache of the `Full` entries an indexed lookup
+/// fetched, with the scratch buffers its record reads reuse.
+///
+/// Each entry body is decoded once by [`decode_full_entry_frame`] into the
+/// flat `frame` (the representation the mismatched-direction scan join
+/// decodes into), and the lookup answers from its [`FullEntryRuns`] in
+/// linear-index space: no `Vec<Coord>` per entry, no allocation per record
+/// read once the buffers are warm.
+#[derive(Default)]
+struct FullCache {
+    /// `(entry id, input index)` -> (a body existed, its runs in `frame` if
+    /// the body decoded).  The input is part of the key because the frame
+    /// holds only the queried input's cells.
+    runs: FxHashMap<(u64, usize), (bool, Option<FullEntryRuns>)>,
+    /// The cell-index column every cached run points into.
+    frame: ScanFrame,
+    /// Scratch key of the record being read.
+    key: Vec<u8>,
+    /// Scratch value of the record being read.
+    value: Vec<u8>,
+    /// Scratch entry ids of the cell record being read.
+    ids: Vec<u64>,
+    /// Scratch hit lists of the query being answered: covered query cells,
+    /// the answer runs of the entries they name (one entry is often named
+    /// by many query cells) and answer cells, merged into the outcome's sets
+    /// once per query.
+    covered: Vec<u64>,
+    hits: Vec<CellRun>,
+    result: Vec<u64>,
+}
+
+impl FullCache {
+    /// Whether a body exists for entry `id` (for per-query fetch accounting)
+    /// and its runs for input `input_idx`, fetching and decoding on first
+    /// use.  Reads go through [`Database::peek_into`] so caches can live on
+    /// the worker threads of a fanned-out lookup, which share the database
+    /// immutably.
+    fn entry(
+        &mut self,
+        db: &Database,
+        id: u64,
+        out_cells: u64,
+        in_cells: &[u64],
+        input_idx: usize,
+    ) -> (bool, Option<FullEntryRuns>) {
+        if let Some(&slot) = self.runs.get(&(id, input_idx)) {
+            return slot;
+        }
+        self.key.clear();
+        encoder::entry_key_into(&mut self.key, id);
+        let slot = if db.peek_into(&self.key, &mut self.value) {
+            let runs = decode_full_entry_frame(
+                &mut self.frame,
+                out_cells,
+                in_cells,
+                input_idx,
+                &self.value,
+            );
+            (true, runs.ok())
+        } else {
+            (false, None)
+        };
+        self.runs.insert((id, input_idx), slot);
+        slot
+    }
+
+    /// Forgets every cached entry (keeping the allocations); see
+    /// [`EntryCache::clear`].
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.frame.clear();
+    }
+}
+
 /// Grows `pool` to the shard count a fanned-out lookup will use (one cache
 /// per worker chunk, capped at one per query) and returns the slice whose
 /// shards [`parallel::parallel_chunks_stateful`] pins to the query chunks.
 /// Caches persist on the datastore between calls, so a repeat batch against
 /// an unchanged store starts warm.
-fn cache_shards<T>(
-    pool: &mut Vec<EntryCache<T>>,
-    workers: usize,
-    queries: usize,
-) -> &mut [EntryCache<T>] {
+fn cache_shards<C: Default>(pool: &mut Vec<C>, workers: usize, queries: usize) -> &mut [C] {
     let want = workers.min(queries).max(1);
-    while pool.len() < want {
-        pool.push(EntryCache::new());
-    }
+    pool.resize_with(pool.len().max(want), C::default);
     &mut pool[..want]
 }
 
@@ -289,12 +352,15 @@ pub struct OpDatastore {
     /// batched write path takes its worker budget per call, because the
     /// runtime splits it between datastore shards).
     workers: usize,
-    /// Per-worker decoded-entry caches reused across batched `Full` lookups:
-    /// shard `i` of a fanned-out lookup always runs with cache `i`, so repeat
-    /// batches against an unchanged store hit warm caches instead of
-    /// rebuilding one per call site.  Cleared by the write paths.
-    full_caches: Vec<EntryCache<FullEntry>>,
-    /// As [`full_caches`](Self::full_caches), for payload entries.
+    /// Per-worker columnar caches ([`FullCache`]) reused across indexed
+    /// `Full` lookups: each holds the decoded entries as runs of one flat
+    /// cell-index frame plus the record-read scratch buffers.  Shard `i` of
+    /// a fanned-out lookup always runs with cache `i`, so repeat batches
+    /// against an unchanged store hit warm caches and reuse warm buffers.
+    /// Cleared by the write paths.
+    full_caches: Vec<FullCache>,
+    /// Per-worker decoded-entry caches for payload entries, used the same
+    /// way.
     pay_caches: Vec<EntryCache<PayEntry>>,
     /// `(log stamp, next entry id, pairs, cells)` the sidecar file on disk
     /// was last written for; a repeat `finish_ingest` with nothing new (the
@@ -1147,8 +1213,7 @@ impl OpDatastore {
         }
         let (query_side, answer_side) = RecordSide::of(direction, input_idx);
         let out_shape = self.out_shape;
-        let in_shapes = self.in_shapes.clone();
-        let in_shapes = &in_shapes;
+        let in_shapes = &self.in_shapes;
         let workers = self.workers;
         let db = &self.db;
         let rtree = self.rtree.as_ref();
@@ -1160,30 +1225,47 @@ impl OpDatastore {
             entries_fetched: 0,
             scanned,
         };
-        let decode_full = |body: &[u8]| decode_full_entry(&out_shape, in_shapes, body).ok();
+        let out_cells = out_shape.num_cells() as u64;
+        let in_cells: &Vec<u64> = &in_shapes.iter().map(|s| s.num_cells() as u64).collect();
 
         let indexed = self.strategy.serves(direction);
         match (self.strategy.mode, indexed, self.strategy.granularity) {
             // --- Full lineage, indexed on the query side ---------------------
+            // Both arms answer in linear-index space from the worker's
+            // columnar cache, like the scan join below: hits collect in the
+            // cache's flat scratch lists and each answer set is built once.
             (LineageMode::Full, true, Granularity::One) => {
                 fan_out(queries, full_caches, |cache, query| {
                     let mut out = empty_outcome(false);
-                    for qc in query.iter() {
-                        let key = query_side.cell_key(&out_shape, in_shapes, &qc);
-                        let Some(value) = db.peek(&key) else {
+                    for qc in query.iter_linear() {
+                        let qc = qc as u64;
+                        cache.key.clear();
+                        query_side.packed_key(qc).write_into(&mut cache.key);
+                        if !db.peek_into(&cache.key, &mut cache.value) {
                             continue;
-                        };
-                        out.covered.insert(&qc);
-                        for id in decode_entry_ids(&value).unwrap_or_default() {
-                            let (present, entry) = cache.get(db, id, decode_full);
+                        }
+                        cache.covered.push(qc);
+                        // A torn id list decodes to no ids.
+                        cache.ids.clear();
+                        let _ = decode_entry_ids_into(&mut cache.ids, &cache.value);
+                        for k in 0..cache.ids.len() {
+                            let (present, runs) =
+                                cache.entry(db, cache.ids[k], out_cells, in_cells, input_idx);
                             out.entries_fetched += present as usize;
-                            if let Some(entry) = entry {
-                                for c in answer_side.cells(entry) {
-                                    out.result.insert(c);
-                                }
+                            if let Some(runs) = runs {
+                                cache.hits.push(answer_side.run(runs));
                             }
                         }
                     }
+                    insert_all(&mut out.covered, &mut cache.covered);
+                    // Each named entry's answer cells are gathered once.
+                    cache.hits.sort_unstable();
+                    cache.hits.dedup();
+                    for &run in &cache.hits {
+                        cache.result.extend_from_slice(cache.frame.run(run));
+                    }
+                    cache.hits.clear();
+                    insert_all(&mut out.result, &mut cache.result);
                     out
                 })
             }
@@ -1191,15 +1273,22 @@ impl OpDatastore {
                 fan_out(queries, full_caches, |cache, query| {
                     let mut out = empty_outcome(false);
                     for id in candidate_entries(rtree, query) {
-                        let (present, entry) = cache.get(db, id, decode_full);
+                        let (present, runs) = cache.entry(db, id, out_cells, in_cells, input_idx);
                         out.entries_fetched += present as usize;
-                        let Some(entry) = entry else { continue };
-                        if cover(&mut out.covered, query_side.cells(entry), query) {
-                            for c in answer_side.cells(entry) {
-                                out.result.insert(c);
-                            }
+                        let Some(runs) = runs else { continue };
+                        let FullCache {
+                            frame,
+                            covered,
+                            result,
+                            ..
+                        } = cache;
+                        let cells = frame.run(query_side.run(runs));
+                        if query.intersect_sorted(cells, |c| covered.push(c)) {
+                            result.extend_from_slice(frame.run(answer_side.run(runs)));
                         }
                     }
+                    insert_all(&mut out.covered, &mut cache.covered);
+                    insert_all(&mut out.result, &mut cache.result);
                     out
                 })
             }
@@ -1210,8 +1299,7 @@ impl OpDatastore {
                 // columnar frame (the decode fans out per block); the
                 // parallel per-query join below answers every query in
                 // linear-index space, never materialising a coordinate.
-                let sd =
-                    scan_full_decode(db, &out_shape, in_shapes, input_idx, answer_side, workers);
+                let sd = scan_full_decode(db, out_cells, in_cells, input_idx, answer_side, workers);
                 // A `One` store's records resolve their entry ids against the
                 // decoded entries once, so the join below streams plain
                 // entry indices with no hash lookups.
@@ -1268,8 +1356,8 @@ impl OpDatastore {
                             }
                         }
                     }
-                    insert_all(&mut out.covered, covered);
-                    insert_all(&mut out.result, result);
+                    insert_all(&mut out.covered, &mut covered);
+                    insert_all(&mut out.result, &mut result);
                     out
                 })
             }
@@ -1448,11 +1536,13 @@ fn cover(covered: &mut CellSet, cells: &[Coord], query: &CellSet) -> bool {
     hit
 }
 
-/// Merges a scan join's accumulated linear indices into `set` at once.
-fn insert_all(set: &mut CellSet, mut idxs: Vec<u64>) {
+/// Merges a join's accumulated linear indices into `set` at once, leaving
+/// `idxs` empty (with its allocation) for the next query.
+fn insert_all(set: &mut CellSet, idxs: &mut Vec<u64>) {
     idxs.sort_unstable();
     idxs.dedup();
-    set.insert_sorted(&idxs);
+    set.insert_sorted(idxs);
+    idxs.clear();
 }
 
 /// One side of a stored region pair: its output cells, or the cells of one
@@ -1486,20 +1576,12 @@ impl RecordSide {
         }
     }
 
-    /// The key of this side's cell record for `cell`.
-    fn cell_key(self, out_shape: &Shape, in_shapes: &[Shape], cell: &Coord) -> Vec<u8> {
+    /// The key of this side's cell record for the cell at linear index
+    /// `index`.
+    fn packed_key(self, index: u64) -> PackedCellKey {
         match self {
-            RecordSide::Out => encoder::out_cell_key(out_shape, cell),
-            RecordSide::In(i) => encoder::in_cell_key(&in_shapes[i], i, cell),
-        }
-    }
-
-    /// This side's cells of a decoded entry (empty when the encoding omits
-    /// them).
-    fn cells(self, entry: &FullEntry) -> &[Coord] {
-        match self {
-            RecordSide::Out => &entry.outcells,
-            RecordSide::In(i) => entry.incells.get(i).map_or(&[], Vec::as_slice),
+            RecordSide::Out => PackedCellKey::out_linear(index),
+            RecordSide::In(i) => PackedCellKey::in_linear(i, index),
         }
     }
 
@@ -1584,15 +1666,12 @@ impl ScanDecode {
 /// worker count, and no per-entry `Vec` is ever allocated.
 fn scan_full_decode(
     db: &Database,
-    out_shape: &Shape,
-    in_shapes: &[Shape],
+    out_cells: u64,
+    in_cells: &[u64],
     input_idx: usize,
     records_from: RecordSide,
     workers: usize,
 ) -> ScanDecode {
-    let out_cells = out_shape.num_cells() as u64;
-    let in_cells: Vec<u64> = in_shapes.iter().map(|s| s.num_cells() as u64).collect();
-    let in_cells = &in_cells;
     let mut global = ScanDecode::default();
     db.scan_slices(SCAN_BLOCK, &mut |block| {
         for part in parallel::parallel_chunks(block, workers, 64, |_, chunk| {
@@ -2143,6 +2222,9 @@ mod tests {
         }
         fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
             self.inner.get(key)
+        }
+        fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
+            self.inner.get_into(key, out)
         }
         fn contains(&self, key: &[u8]) -> bool {
             self.inner.contains(key)

@@ -78,20 +78,35 @@ impl PackedCellKey {
     /// Packs a backward (output-cell) record key.
     #[inline]
     pub fn out_cell(out_shape: &Shape, cell: &Coord) -> Self {
-        PackedCellKey {
-            tag: tag::OUT_CELL,
-            input_idx: 0,
-            packed: codec::pack_coord(out_shape, cell),
-        }
+        Self::out_linear(codec::pack_coord(out_shape, cell))
     }
 
     /// Packs a forward (input-cell) record key.
     #[inline]
     pub fn in_cell(in_shape: &Shape, input_idx: usize, cell: &Coord) -> Self {
+        Self::in_linear(input_idx, codec::pack_coord(in_shape, cell))
+    }
+
+    /// Packs a backward record key from the output cell's already-raveled
+    /// linear index (lookups walk their query in linear-index space and
+    /// never build a [`Coord`]).
+    #[inline]
+    pub fn out_linear(index: u64) -> Self {
+        PackedCellKey {
+            tag: tag::OUT_CELL,
+            input_idx: 0,
+            packed: index,
+        }
+    }
+
+    /// Packs a forward record key from the input cell's already-raveled
+    /// linear index.
+    #[inline]
+    pub fn in_linear(input_idx: usize, index: u64) -> Self {
         PackedCellKey {
             tag: tag::IN_CELL,
             input_idx: input_idx as u8,
-            packed: codec::pack_coord(in_shape, cell),
+            packed: index,
         }
     }
 
@@ -354,10 +369,11 @@ pub fn decode_full_entry_frame(
     result
 }
 
-/// Appends the entry ids of one cell-record value to `ids`, returning how
-/// many were appended — the columnar counterpart of [`decode_entry_ids`]
-/// (scan decoders collect all records' ids in one flat buffer instead of a
-/// `Vec` per record).
+/// Appends the entry ids of one cell-record value (an entry-id list) to
+/// `ids`, returning how many were appended.  Scan decoders collect every
+/// record's ids in one flat buffer and indexed lookups reuse one scratch
+/// buffer, so no `Vec` is allocated per record.  A torn list appends nothing
+/// and errs.
 pub fn decode_entry_ids_into(ids: &mut Vec<u64>, value: &[u8]) -> Result<usize, CodecError> {
     let before = ids.len();
     let mut pos = 0usize;
@@ -414,16 +430,6 @@ pub fn decode_pay_entry(out_shape: &Shape, buf: &[u8]) -> Result<PayEntry, Codec
 /// records for the `Full*` encodings).
 pub fn append_entry_id(value: &mut Vec<u8>, entry_id: u64) {
     write_varint(value, entry_id);
-}
-
-/// Decodes an entry-id-list value.
-pub fn decode_entry_ids(value: &[u8]) -> Result<Vec<u64>, CodecError> {
-    let mut pos = 0usize;
-    let mut ids = Vec::new();
-    while pos < value.len() {
-        ids.push(read_varint(value, &mut pos)?);
-    }
-    Ok(ids)
 }
 
 /// Appends one payload blob to a payload-list value (the value format of cell
@@ -601,20 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_ids_into_matches_decode_entry_ids() {
-        let mut value = Vec::new();
-        append_entry_id(&mut value, 7);
-        append_entry_id(&mut value, 300);
-        let mut flat = vec![99u64];
-        assert_eq!(decode_entry_ids_into(&mut flat, &value).unwrap(), 2);
-        assert_eq!(flat, vec![99, 7, 300]);
-        // A torn id list rolls the flat buffer back.
-        let torn = vec![0x80u8];
-        assert!(decode_entry_ids_into(&mut flat, &torn).is_err());
-        assert_eq!(flat, vec![99, 7, 300]);
-    }
-
-    #[test]
     fn pay_entry_roundtrip() {
         let (out_shape, _) = shapes();
         let outcells = vec![Coord::d2(7, 7)];
@@ -639,8 +631,14 @@ mod tests {
         append_entry_id(&mut value, 7);
         append_entry_id(&mut value, 300);
         append_entry_id(&mut value, 7);
-        assert_eq!(decode_entry_ids(&value).unwrap(), vec![7, 300, 7]);
-        assert_eq!(decode_entry_ids(&[]).unwrap(), Vec::<u64>::new());
+        // Ids append behind whatever the flat buffer already holds.
+        let mut flat = vec![99u64];
+        assert_eq!(decode_entry_ids_into(&mut flat, &value).unwrap(), 3);
+        assert_eq!(flat, vec![99, 7, 300, 7]);
+        assert_eq!(decode_entry_ids_into(&mut flat, &[]).unwrap(), 0);
+        // A torn id list rolls the flat buffer back.
+        assert!(decode_entry_ids_into(&mut flat, &[0x80u8]).is_err());
+        assert_eq!(flat, vec![99, 7, 300, 7]);
     }
 
     #[test]

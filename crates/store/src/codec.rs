@@ -271,7 +271,7 @@ pub fn decode_cells_at(
 /// Runs are plain indices, not borrows (like [`Span`] for the [`Arena`]), so
 /// decoders can keep appending blocks to the frame while holding runs for
 /// earlier ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellRun {
     start: u32,
     len: u32,

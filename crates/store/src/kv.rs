@@ -169,6 +169,26 @@ pub trait KvBackend: Send + Sync {
     /// Fetches the value stored under `key`.
     fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
 
+    /// Fetches the value stored under `key` into `out`, reusing its
+    /// allocation: `out` is cleared, the value copied in, and the result says
+    /// whether the key was found.  A miss (or a failed read) leaves `out`
+    /// empty and returns `false`, exactly where [`get`](KvBackend::get)
+    /// returns `None`.
+    ///
+    /// Indexed lookups read one record per query cell; with a reused buffer
+    /// a warm lookup allocates nothing per record.  The default goes through
+    /// `get`; backends that can copy straight from their storage override it.
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
+        out.clear();
+        match self.get(key) {
+            Some(value) => {
+                out.extend_from_slice(&value);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Whether `key` is present.
     fn contains(&self, key: &[u8]) -> bool {
         self.get(key).is_some()
@@ -379,6 +399,17 @@ impl KvBackend for MemBackend {
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.map.get(key).cloned()
+    }
+
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
+        out.clear();
+        match self.map.get(key) {
+            Some(value) => {
+                out.extend_from_slice(value);
+                true
+            }
+            None => false,
+        }
     }
 
     fn contains(&self, key: &[u8]) -> bool {
@@ -740,6 +771,32 @@ impl KvBackend for FileBackend {
         let mut buf = vec![0u8; len as usize];
         read_exact_at(&self.reader, &mut buf, off).ok()?;
         Some(buf)
+    }
+
+    fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
+        // The same three sources as `get`, in the same order, copied into
+        // the caller's buffer instead of a fresh one.
+        out.clear();
+        if let Some(v) = self.pending.get(key) {
+            out.extend_from_slice(v);
+            return true;
+        }
+        let Some(&(off, len)) = self.index.get(key) else {
+            return false;
+        };
+        let end = off + len as u64;
+        if let Some(map) = &self.map {
+            if end <= map.len() as u64 {
+                out.extend_from_slice(&map.as_slice()[off as usize..end as usize]);
+                return true;
+            }
+        }
+        out.resize(len as usize, 0);
+        if read_exact_at(&self.reader, out, off).is_err() {
+            out.clear();
+            return false;
+        }
+        true
     }
 
     fn contains(&self, key: &[u8]) -> bool {
@@ -1122,6 +1179,13 @@ impl Database {
     /// statistics).
     pub fn peek(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.backend.get(key)
+    }
+
+    /// [`peek`](Database::peek) into a reused buffer (see
+    /// [`KvBackend::get_into`]): `out` holds the value when this returns
+    /// `true` and is empty otherwise.
+    pub fn peek_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
+        self.backend.get_into(key, out)
     }
 
     /// Reads the current value of `key`, applies `merge` to it (or to `None`)

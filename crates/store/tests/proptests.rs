@@ -97,6 +97,20 @@ fn run_kv_model(
             prop_assert_eq!(backend.get(k), model.get(k).cloned());
             prop_assert_eq!(backend.contains(k), model.contains_key(k));
         }
+        // `get_into` agrees with `get` on the whole key space — hits still
+        // pending after a single `put`, flushed hits and misses — through one
+        // reused buffer that is never empty going in, so a miss must clear it.
+        let mut buf = vec![0xee; 3];
+        for id in 0..18 {
+            let k = model_key(id);
+            if buf.is_empty() {
+                buf.push(0xee);
+            }
+            let found = backend.get_into(&k, &mut buf);
+            let expected = backend.get(&k);
+            prop_assert_eq!(found, expected.is_some());
+            prop_assert_eq!(&buf, &expected.unwrap_or_default());
+        }
     }
     let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
     let mut iterated: Vec<_> = backend.iter().collect();
