@@ -257,12 +257,14 @@ struct FullCache {
     value: Vec<u8>,
     /// Scratch entry ids of the cell record being read.
     ids: Vec<u64>,
-    /// Scratch hit lists of the query being answered: covered query cells,
-    /// the answer runs of the entries they name (one entry is often named
-    /// by many query cells) and answer cells, merged into the outcome's sets
-    /// once per query.
+    /// Covered query cells of the query being answered, merged into the
+    /// outcome's set once per query.
     covered: Vec<u64>,
+    /// Answer runs of the entries the query's cell records name (one entry
+    /// is often named by many query cells, so runs are deduplicated before
+    /// their cells are gathered).
     hits: Vec<CellRun>,
+    /// Answer cells of the query being answered, merged like `covered`.
     result: Vec<u64>,
 }
 
@@ -1226,7 +1228,10 @@ impl OpDatastore {
             scanned,
         };
         let out_cells = out_shape.num_cells() as u64;
-        let in_cells: &Vec<u64> = &in_shapes.iter().map(|s| s.num_cells() as u64).collect();
+        let in_cells: &[u64] = &in_shapes
+            .iter()
+            .map(|s| s.num_cells() as u64)
+            .collect::<Vec<_>>();
 
         let indexed = self.strategy.serves(direction);
         match (self.strategy.mode, indexed, self.strategy.granularity) {
