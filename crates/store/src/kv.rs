@@ -753,30 +753,14 @@ impl KvBackend for FileBackend {
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        // Values written since the last flush may still sit in the buffered
-        // writer; serve them from the pending map.
-        if let Some(v) = self.pending.get(key) {
-            return Some(v.clone());
-        }
-        let &(off, len) = self.index.get(key)?;
-        let end = off + len as u64;
-        if let Some(map) = &self.map {
-            if end <= map.len() as u64 {
-                // The mapped prefix covers the record: serve it with a plain
-                // memcpy out of the shared page cache — no syscall.
-                return Some(map.as_slice()[off as usize..end as usize].to_vec());
-            }
-        }
-        // Positioned read through the shared handle: no seek, no lock.
-        let mut buf = vec![0u8; len as usize];
-        read_exact_at(&self.reader, &mut buf, off).ok()?;
-        Some(buf)
+        let mut value = Vec::new();
+        self.get_into(key, &mut value).then_some(value)
     }
 
     fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
-        // The same three sources as `get`, in the same order, copied into
-        // the caller's buffer instead of a fresh one.
         out.clear();
+        // Values written since the last flush may still sit in the buffered
+        // writer; serve them from the pending map.
         if let Some(v) = self.pending.get(key) {
             out.extend_from_slice(v);
             return true;
@@ -787,10 +771,13 @@ impl KvBackend for FileBackend {
         let end = off + len as u64;
         if let Some(map) = &self.map {
             if end <= map.len() as u64 {
+                // The mapped prefix covers the record: serve it with a plain
+                // memcpy out of the shared page cache — no syscall.
                 out.extend_from_slice(&map.as_slice()[off as usize..end as usize]);
                 return true;
             }
         }
+        // Positioned read through the shared handle: no seek, no lock.
         out.resize(len as usize, 0);
         if read_exact_at(&self.reader, out, off).is_err() {
             out.clear();
