@@ -631,14 +631,25 @@ mod tests {
         append_entry_id(&mut value, 7);
         append_entry_id(&mut value, 300);
         append_entry_id(&mut value, 7);
+        let mut ids = Vec::new();
+        assert_eq!(decode_entry_ids_into(&mut ids, &value).unwrap(), 3);
+        assert_eq!(ids, vec![7, 300, 7]);
+        assert_eq!(decode_entry_ids_into(&mut ids, &[]).unwrap(), 0);
+        assert_eq!(ids, vec![7, 300, 7]);
+    }
+
+    #[test]
+    fn entry_ids_into_matches_decode_entry_ids() {
+        let mut value = Vec::new();
+        append_entry_id(&mut value, 7);
+        append_entry_id(&mut value, 300);
         // Ids append behind whatever the flat buffer already holds.
         let mut flat = vec![99u64];
-        assert_eq!(decode_entry_ids_into(&mut flat, &value).unwrap(), 3);
-        assert_eq!(flat, vec![99, 7, 300, 7]);
-        assert_eq!(decode_entry_ids_into(&mut flat, &[]).unwrap(), 0);
+        assert_eq!(decode_entry_ids_into(&mut flat, &value).unwrap(), 2);
+        assert_eq!(flat, vec![99, 7, 300]);
         // A torn id list rolls the flat buffer back.
         assert!(decode_entry_ids_into(&mut flat, &[0x80u8]).is_err());
-        assert_eq!(flat, vec![99, 7, 300, 7]);
+        assert_eq!(flat, vec![99, 7, 300]);
     }
 
     #[test]
