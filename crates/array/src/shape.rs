@@ -198,30 +198,37 @@ impl Shape {
     /// convolutions and the cosmic-ray detector.
     pub fn neighborhood(&self, center: &Coord, radius: u32) -> Vec<Coord> {
         assert_eq!(center.ndim(), self.ndim(), "dimension mismatch");
-        let r = radius as i64;
-        let mut out = Vec::new();
-        // Iterate over the hyper-cube of side 2r+1 around the center.
         let ndim = self.ndim();
-        let mut offsets = vec![-r; ndim];
-        loop {
-            let signed: Vec<i64> = (0..ndim)
-                .map(|d| center.get(d) as i64 + offsets[d])
-                .collect();
-            if let Some(c) = self.checked_coord(&signed) {
-                out.push(c);
+        // Clip the hyper-cube of side 2r+1 around the center to the shape:
+        // `lo..=hi` per dimension.  A center outside the shape still has
+        // in-bounds cells within `radius` unless it is too far out.
+        let (mut lo, mut hi) = ([0u32; MAX_NDIM], [0u32; MAX_NDIM]);
+        let mut count = 1usize;
+        for d in 0..ndim {
+            let c = center.get(d);
+            lo[d] = c.saturating_sub(radius);
+            hi[d] = c.saturating_add(radius).min(self.dims[d] - 1);
+            if lo[d] > hi[d] {
+                return Vec::new();
             }
-            // Advance the odometer.
+            count *= (hi[d] - lo[d]) as usize + 1;
+        }
+        let mut out = Vec::with_capacity(count);
+        let mut cell = lo;
+        loop {
+            out.push(Coord::new(&cell[..ndim]));
+            // Advance the row-major odometer over the clipped box.
             let mut d = ndim;
             loop {
                 if d == 0 {
                     return out;
                 }
                 d -= 1;
-                offsets[d] += 1;
-                if offsets[d] <= r {
+                if cell[d] < hi[d] {
+                    cell[d] += 1;
                     break;
                 }
-                offsets[d] = -r;
+                cell[d] = lo[d];
             }
         }
     }
@@ -370,6 +377,18 @@ mod tests {
         assert_eq!(n.len(), 4 * 7, "edge neighbourhood is clipped on one side");
         let n = s.neighborhood(&Coord::d2(5, 5), 0);
         assert_eq!(n, vec![Coord::d2(5, 5)]);
+    }
+
+    #[test]
+    fn neighborhood_at_the_top_of_the_coordinate_range() {
+        // `center + radius` would overflow `u32` here.
+        let s = Shape::d1(u32::MAX);
+        let top = u32::MAX - 1;
+        let n = s.neighborhood(&Coord::d1(top), 3);
+        assert_eq!(n, (top - 3..=top).map(Coord::d1).collect::<Vec<_>>());
+        assert!(Shape::d1(5)
+            .neighborhood(&Coord::d1(u32::MAX), 3)
+            .is_empty());
     }
 
     #[test]

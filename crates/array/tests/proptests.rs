@@ -78,7 +78,60 @@ fn shape_and_coord() -> impl Strategy<Value = (Shape, Coord)> {
     })
 }
 
+/// The original `Shape::neighborhood`: an odometer over every offset of the
+/// full `(2r+1)^n` cube, bounds-checked cell by cell.  Kept as the reference
+/// the clipped-box walk must reproduce, order included.
+fn neighborhood_reference(shape: &Shape, center: &Coord, radius: u32) -> Vec<Coord> {
+    let r = radius as i64;
+    let ndim = shape.ndim();
+    let mut out = Vec::new();
+    let mut offsets = vec![-r; ndim];
+    loop {
+        let signed: Vec<i64> = (0..ndim)
+            .map(|d| center.get(d) as i64 + offsets[d])
+            .collect();
+        if let Some(c) = shape.checked_coord(&signed) {
+            out.push(c);
+        }
+        let mut d = ndim;
+        loop {
+            if d == 0 {
+                return out;
+            }
+            d -= 1;
+            offsets[d] += 1;
+            if offsets[d] <= r {
+                break;
+            }
+            offsets[d] = -r;
+        }
+    }
+}
+
+/// A 1–4 dimensional shape with a center inside it or up to four cells past
+/// its far edge in each dimension.
+fn shape_and_near_center() -> impl Strategy<Value = (Shape, Coord)> {
+    (1usize..5)
+        .prop_flat_map(|ndim| prop::collection::vec((1u32..7, 0u32..11), ndim..ndim + 1))
+        .prop_map(|dims| {
+            let extents: Vec<u32> = dims.iter().map(|&(n, _)| n).collect();
+            let center: Vec<u32> = dims.iter().map(|&(n, c)| c.min(n + 3)).collect();
+            (Shape::new(&extents), Coord::new(&center))
+        })
+}
+
 proptest! {
+    #[test]
+    fn neighborhood_matches_the_reference_odometer(
+        (shape, center) in shape_and_near_center(),
+        radius in 0u32..4,
+    ) {
+        prop_assert_eq!(
+            shape.neighborhood(&center, radius),
+            neighborhood_reference(&shape, &center, radius)
+        );
+    }
+
     #[test]
     fn ravel_unravel_roundtrip((shape, coord) in shape_and_coord()) {
         let idx = shape.ravel(&coord);

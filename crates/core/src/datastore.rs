@@ -141,8 +141,13 @@ struct KeyInterner {
 }
 
 impl KeyInterner {
-    /// An interner expecting around `keys` key touches.
-    fn with_capacity(keys: usize) -> Self {
+    /// An interner expecting around `touches` key touches drawn from at most
+    /// `key_space` distinct keys (the keyed array's cell count).  Touches
+    /// repeat keys — a 7×7 convolution touches each input cell 49 times — so
+    /// only the smaller of the two is reserved; the table still grows if the
+    /// hint is short.
+    fn with_capacity(touches: usize, key_space: usize) -> Self {
+        let keys = touches.min(key_space);
         let mut interner = KeyInterner::default();
         interner.index.reserve(keys);
         interner.slots.reserve(keys);
@@ -780,7 +785,11 @@ impl OpDatastore {
         // cell-record deltas.
         let (entry_keys, entry_key_spans) = entry_key_arena(base_id, work.len());
         let total_keys: usize = shards.iter().map(|s| s.keys.len()).sum();
-        let mut interner = KeyInterner::with_capacity(total_keys);
+        let key_space = match direction {
+            Direction::Backward => out_shape.num_cells(),
+            Direction::Forward => in_shapes.iter().map(Shape::num_cells).sum(),
+        };
+        let mut interner = KeyInterner::with_capacity(total_keys, key_space);
         let mut id = base_id;
         for shard in &shards {
             let (mut key_pos, mut box_pos) = (0usize, 0usize);
@@ -839,7 +848,7 @@ impl OpDatastore {
                             .collect()
                     });
                 let total_keys: usize = shard_keys.iter().map(Vec::len).sum();
-                let mut interner = KeyInterner::with_capacity(total_keys);
+                let mut interner = KeyInterner::with_capacity(total_keys, out_shape.num_cells());
                 let mut keys = shard_keys.iter().flatten();
                 for &(outcells, payload) in &work {
                     for _ in 0..outcells.len() {
@@ -1835,6 +1844,24 @@ mod tests {
             StorageStrategy::full_one_forward(),
             StorageStrategy::full_many_forward(),
         ]
+    }
+
+    #[test]
+    fn key_interner_reserves_the_key_space_not_every_touch() {
+        // A 7×7 box blur's forward store touches each input cell 49 times.
+        let shape = Shape::d2(40, 80);
+        let key_space = shape.num_cells();
+        let mut interner = KeyInterner::with_capacity(49 * key_space, key_space);
+        for _ in 0..49 {
+            for cell in shape.iter() {
+                let key = PackedCellKey::in_cell(&shape, 0, &cell);
+                interner.append_with(key, |v| v.push(1));
+            }
+        }
+        assert_eq!(interner.slots.len(), key_space);
+        assert!(interner.slots.capacity() <= key_space);
+        assert!(interner.index.capacity() < 2 * key_space);
+        assert!(interner.deltas().iter().all(|&(_, delta)| delta == [1; 49]));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use subzero::model::{Direction, StorageStrategy};
 use subzero_array::{CellSet, Coord, Shape};
 use subzero_engine::lineage::RegionPair;
 use subzero_server::{Client, LookupStep, OpSpec, Server, ServerConfig, WireOutcome};
+use subzero_store::codec::read_varint;
 use subzero_store::failpoint;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -125,7 +126,12 @@ fn pairs_for(op: u32, round: u32) -> Vec<RegionPair> {
 /// operator so every sent batch is provably applied (lane FIFO) and
 /// group-flushed to the log.
 fn ingest(client: &mut Client, session: u64, round: u32) {
-    for op in 0..3u32 {
+    ingest_ops(client, session, round, &[0, 1, 2]);
+}
+
+/// [`ingest`] restricted to the operators `ops`.
+fn ingest_ops(client: &mut Client, session: u64, round: u32, ops: &[u32]) {
+    for &op in ops {
         for chunk in pairs_for(op, round).chunks(7) {
             let ack = client
                 .store_batch(session, op, chunk.to_vec())
@@ -133,7 +139,7 @@ fn ingest(client: &mut Client, session: u64, round: u32) {
             assert!(ack.accepted);
         }
     }
-    for op in 0..3u32 {
+    for &op in ops {
         let step = LookupStep {
             op_id: op,
             direction: Direction::Backward,
@@ -220,6 +226,121 @@ fn kv_snapshot(data_dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
         data_dir.display()
     );
     snap
+}
+
+/// The `.kv` logs of the session named `name`, as bytes.
+fn session_logs(data_dir: &Path, name: &str) -> BTreeMap<PathBuf, Vec<u8>> {
+    let prefix = format!("{name}_op");
+    kv_snapshot(data_dir)
+        .into_iter()
+        .filter(|(path, _)| {
+            path.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(&prefix))
+        })
+        .collect()
+}
+
+/// The length `log` compacts to: the bytes of each key's last record.
+fn dense_len(log: &[u8]) -> usize {
+    let mut last: BTreeMap<&[u8], usize> = BTreeMap::new();
+    let mut pos = 0;
+    while pos < log.len() {
+        let start = pos;
+        let klen = read_varint(log, &mut pos).expect("key length") as usize;
+        let vlen = read_varint(log, &mut pos).expect("value length") as usize;
+        last.insert(&log[pos..pos + klen], pos + klen + vlen - start);
+        pos += klen + vlen;
+    }
+    last.values().sum()
+}
+
+/// Whether a compaction staging file sits beside any of `logs`.
+fn any_staging_file(data_dir: &Path, logs: &BTreeMap<PathBuf, Vec<u8>>) -> bool {
+    logs.keys()
+        .any(|log| data_dir.join(log).with_extension("kv.compact").exists())
+}
+
+#[test]
+fn checkpoint_rewrites_only_logs_with_superseded_records() {
+    let dir = temp_dir("checkpoint");
+    let socket = dir.join("daemon.sock");
+    let data_dir = dir.join("data");
+    let mut child = spawn_daemon(&socket, &data_dir, None);
+    let mut client = connect_with_retry(&socket);
+
+    // Session "once" writes every key once: round 0 of op 0 (one record per
+    // output cell) and op 2 (one entry per pair).  Op 1 is left out — its
+    // forward store merges into input cells that two pairs share.
+    let once = client.open_session("once", specs()).expect("open once");
+    ingest_ops(&mut client, once, 0, &[0, 2]);
+    let before = session_logs(&data_dir, "once");
+    assert!(before.values().any(|log| !log.is_empty()));
+    for (path, log) in &before {
+        assert_eq!(
+            dense_len(log),
+            log.len(),
+            "{}: superseded record",
+            path.display()
+        );
+    }
+    client.finish_session(once).expect("commit once");
+    assert_eq!(
+        session_logs(&data_dir, "once"),
+        before,
+        "a checkpoint rewrote a log with nothing superseded"
+    );
+    assert!(!any_staging_file(&data_dir, &before));
+
+    // Session "rewrite" commits round 0, then round 1 rewrites every cell.
+    let rewrite = client
+        .open_session("rewrite", specs())
+        .expect("open rewrite");
+    ingest(&mut client, rewrite, 0);
+    client.finish_session(rewrite).expect("commit round 0");
+    ingest(&mut client, rewrite, 1);
+    let before = session_logs(&data_dir, "rewrite");
+    assert!(before.values().any(|log| dense_len(log) < log.len()));
+    client.finish_session(rewrite).expect("commit round 1");
+    let after = session_logs(&data_dir, "rewrite");
+    for (path, log) in &before {
+        assert_eq!(
+            after[path].len(),
+            dense_len(log),
+            "{}: checkpoint left garbage behind",
+            path.display()
+        );
+    }
+    assert!(!any_staging_file(&data_dir, &before));
+    let answers = (probe(&mut client, once), probe(&mut client, rewrite));
+    assert_eq!(answers.1, reference_answers("checkpoint-ref", 2));
+    let snapshot = kv_snapshot(&data_dir);
+    drop(client);
+    child.kill().expect("SIGKILL the daemon");
+    child.wait().expect("reap the daemon");
+
+    // Both sessions come back byte-identical, in answers and in log bytes.
+    let mut child = spawn_daemon(&socket, &data_dir, None);
+    let mut client = connect_with_retry(&socket);
+    let once = client.open_session("once", specs()).expect("reopen once");
+    let rewrite = client
+        .open_session("rewrite", specs())
+        .expect("reopen rewrite");
+    assert_eq!(
+        (probe(&mut client, once), probe(&mut client, rewrite)),
+        answers,
+        "recovered answers diverge from the pre-crash ones"
+    );
+    assert_eq!(
+        kv_snapshot(&data_dir),
+        snapshot,
+        "recovery rewrote .kv bytes"
+    );
+    client.shutdown_server().expect("graceful shutdown");
+    drop(client);
+    child.wait().expect("daemon exits");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

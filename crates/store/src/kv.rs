@@ -230,6 +230,11 @@ pub trait KvBackend: Send + Sync {
     /// `merge_append_batch` delta chains into dense entries.  Returns the
     /// bytes reclaimed (0 for memory backends and garbage-free logs).
     ///
+    /// A log with no superseded record is left alone without being read:
+    /// the file backend counts the bytes of every record a write replaces
+    /// (replay on open recounts them), and returns 0 right after flushing
+    /// when that count is zero.
+    ///
     /// Crash-safe: the dense log is staged as `<file>.compact`, fsynced and
     /// renamed over the original, so an interrupted compaction leaves either
     /// the old log or a staging file that recovery finishes or discards.
@@ -517,11 +522,28 @@ fn write_record_prefix(buf: &mut Vec<u8>, key: &[u8], value_len: usize) {
     buf.extend_from_slice(key);
 }
 
-/// Points `key` at a freshly appended value, keeping the live-byte count.
-fn index_put(index: &mut LogIndex, live_bytes: &mut usize, key: &[u8], off: u64, len: usize) {
+/// Bytes of one log record: its two length varints, key and value.
+fn record_len(key_len: usize, value_len: usize) -> u64 {
+    let varint_len = |v: usize| u64::from((usize::BITS - (v | 1).leading_zeros()).div_ceil(7));
+    varint_len(key_len) + varint_len(value_len) + (key_len + value_len) as u64
+}
+
+/// Points `key` at a freshly appended value, keeping the live-byte count
+/// and the dead-byte count: the record a put replaces becomes garbage.
+fn index_put(
+    index: &mut LogIndex,
+    live_bytes: &mut usize,
+    dead_bytes: &mut u64,
+    key: &[u8],
+    off: u64,
+    len: usize,
+) {
     *live_bytes += len;
     match index.insert(IndexKey::new(key), (off, len as u32)) {
-        Some((_, old_len)) => *live_bytes -= old_len as usize,
+        Some((_, old_len)) => {
+            *live_bytes -= old_len as usize;
+            *dead_bytes += record_len(key.len(), old_len as usize);
+        }
         None => *live_bytes += key.len(),
     }
 }
@@ -549,6 +571,9 @@ pub struct FileBackend {
     pending: FxHashMap<IndexKey, Vec<u8>>,
     /// Logical bytes (live keys + values).
     live_bytes: usize,
+    /// Whole-record bytes of the records superseded since the log was last
+    /// rewritten dense: exactly what a compaction would reclaim.
+    dead_bytes: u64,
     /// Next append offset.
     write_offset: u64,
     /// Read-only mapping of the flushed log prefix, refreshed after every
@@ -576,11 +601,18 @@ impl FileBackend {
         // Everything past the last complete record is a torn tail (e.g. a
         // crash mid-append) and is ignored.
         let mut index = LogIndex::default();
-        let mut live_bytes = 0usize;
+        let (mut live_bytes, mut dead_bytes) = (0usize, 0u64);
         let mut pos = 0usize;
         while let Some((key, value)) = next_record(&existing, &mut pos) {
             let value_off = (pos - value.len()) as u64;
-            index_put(&mut index, &mut live_bytes, key, value_off, value.len());
+            index_put(
+                &mut index,
+                &mut live_bytes,
+                &mut dead_bytes,
+                key,
+                value_off,
+                value.len(),
+            );
         }
         let write_offset = pos as u64;
         let file = OpenOptions::new()
@@ -606,6 +638,7 @@ impl FileBackend {
             index,
             pending: FxHashMap::default(),
             live_bytes,
+            dead_bytes,
             write_offset,
             map: None,
             scan_mode: ScanMode::default_mode(),
@@ -745,6 +778,7 @@ impl KvBackend for FileBackend {
         index_put(
             &mut self.index,
             &mut self.live_bytes,
+            &mut self.dead_bytes,
             key,
             value_off,
             value.len(),
@@ -830,10 +864,12 @@ impl KvBackend for FileBackend {
     fn compact(&mut self) -> io::Result<u64> {
         self.writer.flush()?;
         self.pending.clear();
-        let old_len = self.write_offset;
-        if self.index.is_empty() && old_len == 0 {
+        if self.dead_bytes == 0 {
+            // Every record is live, so the log is already dense: nothing to
+            // read, stage or sync.
             return Ok(0);
         }
+        let old_len = self.write_offset;
         let mut raw = Vec::with_capacity(old_len as usize);
         File::open(&self.path)?.read_to_end(&mut raw)?;
         // Stream live records, in log order, into the staging file.  The
@@ -868,12 +904,7 @@ impl KvBackend for FileBackend {
         dense.flush()?;
         let staging = dense.into_inner().map_err(|e| e.into_error())?;
         staging.sync_data()?;
-        if new_offset == old_len {
-            // Nothing superseded: keep the original log untouched.
-            drop(staging);
-            std::fs::remove_file(&staging_path)?;
-            return Ok(0);
-        }
+        debug_assert_eq!(old_len - new_offset, self.dead_bytes, "dead-byte count");
         drop(staging);
         std::fs::rename(&staging_path, &self.path)?;
         // Swap every handle over to the dense log and rebuild derived state.
@@ -884,6 +915,7 @@ impl KvBackend for FileBackend {
         self.reader = File::open(&self.path)?;
         self.index = new_index;
         self.write_offset = new_offset;
+        self.dead_bytes = 0;
         self.map = None;
         self.remap();
         Ok(old_len - new_offset)
@@ -965,6 +997,7 @@ impl KvBackend for FileBackend {
             index_put(
                 &mut self.index,
                 &mut self.live_bytes,
+                &mut self.dead_bytes,
                 key,
                 value_off,
                 value.len(),
@@ -984,6 +1017,7 @@ impl KvBackend for FileBackend {
                 Entry::Occupied(mut e) => {
                     let (old_off, old_len) = *e.get();
                     let old_len = old_len as usize;
+                    self.dead_bytes += record_len(key.len(), old_len);
                     write_record_prefix(&mut buf, key, old_len + delta.len());
                     *e.get_mut() = (base + buf.len() as u64, (old_len + delta.len()) as u32);
                     match &self.map {
@@ -1513,6 +1547,38 @@ mod tests {
         let mut b = b;
         assert_eq!(b.compact().unwrap(), 0);
         assert!(!path.with_extension("kv.compact").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backend_compact_of_a_garbage_free_log_does_no_io() {
+        let dir =
+            std::env::temp_dir().join(format!("subzero-kv-no-garbage-{}", std::process::id()));
+        let path = dir.join("dense.kv");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut b = FileBackend::open(&path).unwrap();
+        b.put(b"single", b"put");
+        b.write_group(
+            &[(b"group-a", b"1"), (b"group-b", b"2")],
+            &[(b"fresh", b"3")],
+        );
+        b.merge_append_batch(&[(b"new-key", b"4")]);
+        b.flush().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        // A directory where the staging file would go: any attempt to stage
+        // a copy fails, so `Ok(0)` proves nothing was read or rewritten.
+        let staging = path.with_extension("kv.compact");
+        std::fs::create_dir(&staging).unwrap();
+        assert_eq!(b.compact().unwrap(), 0);
+        drop(b);
+        let mut b = FileBackend::open(&path).unwrap();
+        assert_eq!(b.compact().unwrap(), 0, "replay finds no garbage either");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // One superseded record and the count is no longer zero.
+        b.put(b"single", b"again");
+        std::fs::remove_dir(&staging).unwrap();
+        assert_eq!(b.compact().unwrap(), record_len(6, 3));
+        assert!(!staging.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -30,8 +30,21 @@ fn model_key(id: u8) -> Vec<u8> {
 /// items (single-record ops use the first item, if any).
 type KvOp = (u8, Vec<(u8, Vec<u8>)>);
 
+/// Bytes of the log record `[varint key len][varint value len][key][value]`.
+fn record_bytes(key: &[u8], value: &[u8]) -> u64 {
+    let mut prefix = Vec::new();
+    write_varint(&mut prefix, key.len() as u64);
+    write_varint(&mut prefix, value.len() as u64);
+    (prefix.len() + key.len() + value.len()) as u64
+}
+
 /// Drives `backend` and the `BTreeMap` model through `ops`, checking reads
 /// after every step; `reopen` drops and reopens a persistent backend.
+///
+/// The model also counts the bytes of every record a write replaces since
+/// the last compaction, and each compaction must reclaim exactly that much
+/// from a persistent backend (nothing from a memory one) — reopens included,
+/// since replaying the log must recount the garbage.
 fn run_kv_model(
     mut backend: Box<dyn KvBackend>,
     reopen: Option<&dyn Fn() -> Box<dyn KvBackend>>,
@@ -39,20 +52,35 @@ fn run_kv_model(
 ) -> Result<(), String> {
     use std::collections::BTreeMap;
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut garbage = 0u64;
     for (kind, raw) in ops {
         let items: Vec<(Vec<u8>, &[u8])> = raw
             .iter()
             .map(|(id, bytes)| (model_key(*id), bytes.as_slice()))
             .collect();
         let refs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (k.as_slice(), *v)).collect();
-        let put = |model: &mut BTreeMap<_, _>, items: &[(&[u8], &[u8])]| {
+        let put = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>,
+                   garbage: &mut u64,
+                   items: &[(&[u8], &[u8])]| {
             for &(k, v) in items {
-                model.insert(k.to_vec(), v.to_vec());
+                if let Some(old) = model.insert(k.to_vec(), v.to_vec()) {
+                    *garbage += record_bytes(k, &old);
+                }
             }
         };
-        let append = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>, items: &[(&[u8], &[u8])]| {
+        let append = |model: &mut BTreeMap<Vec<u8>, Vec<u8>>,
+                      garbage: &mut u64,
+                      items: &[(&[u8], &[u8])]| {
             for &(k, v) in items {
-                model.entry(k.to_vec()).or_default().extend_from_slice(v);
+                match model.get_mut(k) {
+                    Some(old) => {
+                        *garbage += record_bytes(k, old);
+                        old.extend_from_slice(v);
+                    }
+                    None => {
+                        model.insert(k.to_vec(), v.to_vec());
+                    }
+                }
             }
         };
         match kind % 8 {
@@ -60,27 +88,34 @@ fn run_kv_model(
                 for &(k, v) in refs.iter().take(1) {
                     backend.put(k, v);
                 }
-                put(&mut model, &refs[..refs.len().min(1)]);
+                put(&mut model, &mut garbage, &refs[..refs.len().min(1)]);
             }
             1 => {
                 backend.put_batch_slices(&refs);
-                put(&mut model, &refs);
+                put(&mut model, &mut garbage, &refs);
             }
             2 => {
                 backend.merge_append_batch(&refs);
-                append(&mut model, &refs);
+                append(&mut model, &mut garbage, &refs);
             }
             3 | 4 => {
                 // The group write: the first half put, the rest appended.
                 let (puts, appends) = refs.split_at(refs.len() / 2);
                 backend.write_group(puts, appends);
-                put(&mut model, puts);
-                append(&mut model, appends);
+                put(&mut model, &mut garbage, puts);
+                append(&mut model, &mut garbage, appends);
             }
             5 => backend.flush().map_err(|e| e.to_string())?,
             6 => {
                 backend.flush().map_err(|e| e.to_string())?;
-                backend.compact().map_err(|e| e.to_string())?;
+                let reclaimed = backend.compact().map_err(|e| e.to_string())?;
+                let expected = if backend.file_path().is_some() {
+                    garbage
+                } else {
+                    0
+                };
+                prop_assert_eq!(reclaimed, expected);
+                garbage = 0;
             }
             _ => {
                 if let Some(reopen) = reopen {
