@@ -36,27 +36,11 @@ pub fn split_budget(workers: usize, shares: usize) -> usize {
     }
 }
 
-/// Minimum number of items before `parallel_map` spawns threads; below this
-/// the spawn overhead outweighs the encode work.
-const PARALLEL_MIN_ITEMS: usize = 64;
-
 /// Maps `f` over `items`, preserving order, using up to `workers` scoped
-/// threads.  Runs serially when `workers <= 1` or the input is small.
-pub fn parallel_map<T, U, F>(items: &[T], workers: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_min(items, workers, PARALLEL_MIN_ITEMS, f)
-}
-
-/// [`parallel_map`] with a caller-chosen serial threshold.
-///
-/// The default threshold assumes per-item work on the order of one encode —
-/// too coarse for the batched query path, where a single item (one query of a
-/// multi-query batch) can carry an entire scan join.  Such callers pass a
-/// small `min_items` so even a handful of heavy items fans out.
+/// threads.  Runs serially when `workers <= 1` or the input is shorter than
+/// `min_items` (and always below two items): callers whose items are cheap
+/// pass a threshold that amortises a spawn, those with a handful of heavy
+/// items a small one so even they fan out.
 pub fn parallel_map_min<T, U, F>(items: &[T], workers: usize, min_items: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -327,7 +311,7 @@ mod tests {
     fn parallel_map_preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
         for workers in [1, 2, 5] {
-            let out = parallel_map(&items, workers, |i, &v| (i as u32, v * 2));
+            let out = parallel_map_min(&items, workers, 64, |i, &v| (i as u32, v * 2));
             assert_eq!(out.len(), 1000);
             for (i, (idx, doubled)) in out.iter().enumerate() {
                 assert_eq!(*idx as usize, i);
@@ -339,9 +323,12 @@ mod tests {
     #[test]
     fn parallel_map_small_inputs_stay_serial() {
         let items = [1, 2, 3];
-        assert_eq!(parallel_map(&items, 8, |_, &v| v + 1), vec![2, 3, 4]);
+        assert_eq!(
+            parallel_map_min(&items, 8, 64, |_, &v| v + 1),
+            vec![2, 3, 4]
+        );
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 8, |_, &v| v).is_empty());
+        assert!(parallel_map_min(&empty, 8, 64, |_, &v| v).is_empty());
     }
 
     #[test]

@@ -287,16 +287,6 @@ impl CellRun {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// The run shifted by `base` frame slots — used when merging a frame
-    /// decoded by one worker into a combined frame (see
-    /// [`ScanFrame::append`]).
-    pub fn rebased(self, base: u32) -> CellRun {
-        CellRun {
-            start: self.start + base,
-            len: self.len,
-        }
-    }
 }
 
 /// A reusable columnar buffer of decoded cell sets.
@@ -352,14 +342,6 @@ impl ScanFrame {
             start: self.idx.len() as u32,
             len: 0,
         }
-    }
-
-    /// Appends every cell of `other`, returning the base offset to
-    /// [`rebase`](CellRun::rebased) the other frame's runs by.
-    pub fn append(&mut self, other: &ScanFrame) -> u32 {
-        let base = self.idx.len() as u32;
-        self.idx.extend_from_slice(&other.idx);
-        base
     }
 }
 
@@ -688,19 +670,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_frame_append_rebases_runs() {
+    fn scan_frame_runs_address_their_blocks() {
         let mut a = ScanFrame::new();
-        let mut b = ScanFrame::new();
         let shape = Shape::d1(100);
         let n = shape.num_cells() as u64;
-        let buf_a = encode_cells(&shape, &[Coord::d1(5)]);
+        let buf = encode_cells(&shape, &[Coord::d1(5)]);
         let buf_b = encode_cells(&shape, &[Coord::d1(7), Coord::d1(9)]);
         let mut pos = 0usize;
-        decode_cells_block(&mut a, n, &buf_a, &mut pos).unwrap();
+        let run_a = decode_cells_block(&mut a, n, &buf, &mut pos).unwrap();
         let mut pos = 0usize;
-        let run_b = decode_cells_block(&mut b, n, &buf_b, &mut pos).unwrap();
-        let base = a.append(&b);
-        assert_eq!(a.run(run_b.rebased(base)), &[7, 9]);
+        let run_b = decode_cells_block(&mut a, n, &buf_b, &mut pos).unwrap();
+        assert_eq!(a.run(run_a), &[5]);
+        assert_eq!(a.run(run_b), &[7, 9]);
         assert_eq!(a.len(), 3);
         a.clear();
         assert!(a.is_empty());

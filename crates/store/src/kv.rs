@@ -14,7 +14,7 @@
 //!   aggregate storage statistics, which the benchmarks report as the "disk
 //!   cost" of a lineage strategy.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -325,7 +325,7 @@ pub trait KvBackend: Send + Sync {
     /// backend reads the `put_batch`-laid-out log sequentially in large
     /// chunks rather than issuing one seek per key.
     fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
-        scan_blocks(self.iter(), block, visit);
+        visit_blocks(self.iter(), block, visit);
     }
 
     /// Streams every live `(key, value)` pair through `visit` as blocks of
@@ -340,24 +340,16 @@ pub trait KvBackend: Send + Sync {
     /// record.  The default implementation adapts [`iter`](KvBackend::iter)
     /// and does copy; backends with a physical layout override it.
     fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
-        scan_blocks(self.iter(), block, &mut |pairs: &[KvPair]| {
-            let refs: Vec<(&[u8], &[u8])> = pairs
-                .iter()
-                .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                .collect();
-            visit(&refs);
-        });
+        visit_slices_of(self.iter(), block, visit);
     }
 }
 
-/// Shared body of the iterator-driven [`KvBackend::scan_batch`] path:
-/// groups `iter`'s records into blocks of up to `block` and hands each
-/// block to `visit`.
-fn scan_blocks(iter: impl Iterator<Item = KvPair>, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
+/// Hands `items` to `visit` in blocks of up to `block` (at least one).
+fn visit_blocks<T>(items: impl Iterator<Item = T>, block: usize, mut visit: impl FnMut(&[T])) {
     let block = block.max(1);
-    let mut buf: Vec<KvPair> = Vec::with_capacity(block);
-    for pair in iter {
-        buf.push(pair);
+    let mut buf: Vec<T> = Vec::with_capacity(block);
+    for item in items {
+        buf.push(item);
         if buf.len() == block {
             visit(&buf);
             buf.clear();
@@ -366,6 +358,22 @@ fn scan_blocks(iter: impl Iterator<Item = KvPair>, block: usize, visit: &mut dyn
     if !buf.is_empty() {
         visit(&buf);
     }
+}
+
+/// [`visit_blocks`] over owned records, lent to `visit` as slices: the
+/// iterator-driven [`KvBackend::scan_slices`].
+fn visit_slices_of(
+    iter: impl Iterator<Item = KvPair>,
+    block: usize,
+    visit: &mut dyn FnMut(&[KvRef]),
+) {
+    visit_blocks(iter, block, |pairs: &[KvPair]| {
+        let refs: Vec<KvRef> = pairs
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+            .collect();
+        visit(&refs);
+    });
 }
 
 /// Purely in-memory backend.
@@ -480,18 +488,8 @@ impl KvBackend for MemBackend {
     fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
         // The table owns every record, so blocks borrow straight from it —
         // no per-record clones, unlike the iter-driven default.
-        let block = block.max(1);
-        let mut refs: Vec<(&[u8], &[u8])> = Vec::with_capacity(block);
-        for (k, v) in &self.map {
-            refs.push((k.as_slice(), v.as_slice()));
-            if refs.len() == block {
-                visit(&refs);
-                refs.clear();
-            }
-        }
-        if !refs.is_empty() {
-            visit(&refs);
-        }
+        let records = self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()));
+        visit_blocks(records, block, visit);
     }
 }
 
@@ -528,21 +526,81 @@ fn record_len(key_len: usize, value_len: usize) -> u64 {
     varint_len(key_len) + varint_len(value_len) + (key_len + value_len) as u64
 }
 
-/// Points `key` at a freshly appended value, keeping the live-byte count
-/// and the dead-byte count: the record a put replaces becomes garbage.
+/// The records superseded since the log was last rewritten dense: scans
+/// and compaction skip them by value offset (each record's is distinct),
+/// walking `offsets` in log order beside the records.  Writes only push;
+/// replay on open, `flush` and `sync` sort.  Never persisted: replay
+/// rebuilds it.
+#[derive(Debug, Default)]
+struct Superseded {
+    /// Whole-record bytes: exactly what a compaction would reclaim.
+    bytes: u64,
+    /// Value offsets, sorted unless written since the last sort.
+    offsets: Vec<u64>,
+}
+
+impl Superseded {
+    fn push(&mut self, key_len: usize, value_off: u64, value_len: usize) {
+        self.bytes += record_len(key_len, value_len);
+        self.offsets.push(value_off);
+    }
+
+    /// Sorts in place — run-adaptively, so the prefix an earlier sort left
+    /// costs a linear merge, not a re-sort.
+    fn sort(&mut self) {
+        self.offsets.sort();
+    }
+
+    /// The offsets in log order: borrowed when sorted, else a sorted copy.
+    fn in_order(&self) -> Cow<'_, [u64]> {
+        let mut offsets = Cow::Borrowed(&self.offsets[..]);
+        if !offsets.is_sorted() {
+            offsets.to_mut().sort_unstable();
+        }
+        offsets
+    }
+}
+
+/// The next record of `buf` from `*pos` (as [`next_record`]) that is not
+/// dead — whose value offset, `base` plus its place in `buf`, is not the
+/// head of `dead`, the ascending offsets of the dead records not yet
+/// passed — with its start in `buf`.
+fn next_live_record<'b>(
+    buf: &'b [u8],
+    base: u64,
+    pos: &mut usize,
+    dead: &mut &[u64],
+) -> Option<(usize, &'b [u8], &'b [u8])> {
+    loop {
+        let start = *pos;
+        let (key, value) = next_record(buf, pos)?;
+        let value_off = base + (*pos - value.len()) as u64;
+        debug_assert!(
+            dead.first().is_none_or(|&d| d >= value_off),
+            "dead offsets out of order"
+        );
+        match dead.split_first() {
+            Some((&d, rest)) if d == value_off => *dead = rest,
+            _ => return Some((start, key, value)),
+        }
+    }
+}
+
+/// Points `key` at a freshly appended value, keeping the live-byte count;
+/// the record a put replaces becomes garbage.
 fn index_put(
     index: &mut LogIndex,
     live_bytes: &mut usize,
-    dead_bytes: &mut u64,
+    superseded: &mut Superseded,
     key: &[u8],
     off: u64,
     len: usize,
 ) {
     *live_bytes += len;
     match index.insert(IndexKey::new(key), (off, len as u32)) {
-        Some((_, old_len)) => {
+        Some((old_off, old_len)) => {
             *live_bytes -= old_len as usize;
-            *dead_bytes += record_len(key.len(), old_len as usize);
+            superseded.push(key.len(), old_off, old_len as usize);
         }
         None => *live_bytes += key.len(),
     }
@@ -571,9 +629,8 @@ pub struct FileBackend {
     pending: FxHashMap<IndexKey, Vec<u8>>,
     /// Logical bytes (live keys + values).
     live_bytes: usize,
-    /// Whole-record bytes of the records superseded since the log was last
-    /// rewritten dense: exactly what a compaction would reclaim.
-    dead_bytes: u64,
+    /// The records superseded since the log was last rewritten dense.
+    superseded: Superseded,
     /// Next append offset.
     write_offset: u64,
     /// Read-only mapping of the flushed log prefix, refreshed after every
@@ -601,19 +658,20 @@ impl FileBackend {
         // Everything past the last complete record is a torn tail (e.g. a
         // crash mid-append) and is ignored.
         let mut index = LogIndex::default();
-        let (mut live_bytes, mut dead_bytes) = (0usize, 0u64);
+        let (mut live_bytes, mut superseded) = (0usize, Superseded::default());
         let mut pos = 0usize;
         while let Some((key, value)) = next_record(&existing, &mut pos) {
             let value_off = (pos - value.len()) as u64;
             index_put(
                 &mut index,
                 &mut live_bytes,
-                &mut dead_bytes,
+                &mut superseded,
                 key,
                 value_off,
                 value.len(),
             );
         }
+        superseded.sort();
         let write_offset = pos as u64;
         let file = OpenOptions::new()
             .create(true)
@@ -638,7 +696,7 @@ impl FileBackend {
             index,
             pending: FxHashMap::default(),
             live_bytes,
-            dead_bytes,
+            superseded,
             write_offset,
             map: None,
             scan_mode: ScanMode::default_mode(),
@@ -692,44 +750,26 @@ impl FileBackend {
             self.map = MmapRegion::map(&self.reader, self.write_offset);
         }
     }
+}
 
-    /// Whether the record whose value sits at `value_off` is the live one for
-    /// `key` (not superseded by a later append).
-    fn is_live(&self, key: &[u8], value_off: u64, value_len: usize) -> bool {
-        self.index
-            .get(key)
-            .is_some_and(|&(off, len)| off == value_off && len as usize == value_len)
-    }
-
-    /// Parses every *complete* record in `buf` (whose first byte sits at
-    /// absolute log offset `base`), emitting live records as blocks of
-    /// borrowed `(key, value)` slices; superseded records are dropped by
-    /// checking each parsed value position against the live index.  Returns
-    /// the number of bytes consumed (everything up to the first incomplete
-    /// trailing record).
-    fn emit_live_records<'b>(
-        &self,
-        buf: &'b [u8],
-        base: u64,
-        block: usize,
-        visit: &mut dyn FnMut(&[KvRef]),
-    ) -> usize {
-        let mut refs: Vec<(&'b [u8], &'b [u8])> = Vec::with_capacity(block);
-        let mut pos = 0usize;
-        while let Some((key, value)) = next_record(buf, &mut pos) {
-            if self.is_live(key, base + (pos - value.len()) as u64, value.len()) {
-                refs.push((key, value));
-                if refs.len() == block {
-                    visit(&refs);
-                    refs.clear();
-                }
-            }
-        }
-        if !refs.is_empty() {
-            visit(&refs);
-        }
-        pos
-    }
+/// Parses every *complete* record in `buf` (whose first byte sits at
+/// absolute log offset `base`), emitting live records as blocks of borrowed
+/// `(key, value)` slices; superseded records are dropped as their offsets
+/// come up in `dead` (see [`next_live_record`]).  Returns the number of bytes
+/// consumed (everything up to the first incomplete trailing record).
+fn emit_live_records(
+    buf: &[u8],
+    base: u64,
+    dead: &mut &[u64],
+    block: usize,
+    visit: &mut dyn FnMut(&[KvRef]),
+) -> usize {
+    let mut pos = 0usize;
+    let records = std::iter::from_fn(|| {
+        next_live_record(buf, base, &mut pos, dead).map(|(_, key, value)| (key, value))
+    });
+    visit_blocks(records, block, visit);
+    pos
 }
 
 /// Reads exactly `buf.len()` bytes at absolute `offset` without moving any
@@ -778,7 +818,7 @@ impl KvBackend for FileBackend {
         index_put(
             &mut self.index,
             &mut self.live_bytes,
-            &mut self.dead_bytes,
+            &mut self.superseded,
             key,
             value_off,
             value.len(),
@@ -846,15 +886,13 @@ impl KvBackend for FileBackend {
         // Every flushed byte is now in the file; extend the mapped prefix
         // over it so subsequent scans and gets stay zero-copy.
         self.remap();
+        self.superseded.sort();
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.writer.flush()?;
-        self.pending.clear();
-        self.writer.get_ref().sync_data()?;
-        self.remap();
-        Ok(())
+        self.flush()?;
+        self.writer.get_ref().sync_data()
     }
 
     fn log_len(&self) -> Option<u64> {
@@ -864,7 +902,7 @@ impl KvBackend for FileBackend {
     fn compact(&mut self) -> io::Result<u64> {
         self.writer.flush()?;
         self.pending.clear();
-        if self.dead_bytes == 0 {
+        if self.superseded.offsets.is_empty() {
             // Every record is live, so the log is already dense: nothing to
             // read, stage or sync.
             return Ok(0);
@@ -889,22 +927,23 @@ impl KvBackend for FileBackend {
         new_index.reserve(self.index.len());
         let mut new_offset = 0u64;
         let mut pos = 0usize;
-        loop {
-            let record_start = pos;
-            let Some((key, value)) = next_record(&raw, &mut pos) else {
-                break;
-            };
-            if self.is_live(key, (pos - value.len()) as u64, value.len()) {
-                dense.write_all(&raw[record_start..pos])?;
-                new_offset += (pos - record_start) as u64;
-                let loc = (new_offset - value.len() as u64, value.len() as u32);
-                new_index.insert(IndexKey::new(key), loc);
-            }
+        self.superseded.sort();
+        let mut dead = self.superseded.offsets.as_slice();
+        while let Some((start, key, value)) = next_live_record(&raw, 0, &mut pos, &mut dead) {
+            dense.write_all(&raw[start..pos])?;
+            new_offset += (pos - start) as u64;
+            let loc = (new_offset - value.len() as u64, value.len() as u32);
+            new_index.insert(IndexKey::new(key), loc);
         }
         dense.flush()?;
         let staging = dense.into_inner().map_err(|e| e.into_error())?;
         staging.sync_data()?;
-        debug_assert_eq!(old_len - new_offset, self.dead_bytes, "dead-byte count");
+        debug_assert!(dead.is_empty(), "every superseded record skipped");
+        debug_assert_eq!(
+            old_len - new_offset,
+            self.superseded.bytes,
+            "dead-byte count"
+        );
         drop(staging);
         std::fs::rename(&staging_path, &self.path)?;
         // Swap every handle over to the dense log and rebuild derived state.
@@ -915,7 +954,7 @@ impl KvBackend for FileBackend {
         self.reader = File::open(&self.path)?;
         self.index = new_index;
         self.write_offset = new_offset;
-        self.dead_bytes = 0;
+        self.superseded = Superseded::default();
         self.map = None;
         self.remap();
         Ok(old_len - new_offset)
@@ -997,7 +1036,7 @@ impl KvBackend for FileBackend {
             index_put(
                 &mut self.index,
                 &mut self.live_bytes,
-                &mut self.dead_bytes,
+                &mut self.superseded,
                 key,
                 value_off,
                 value.len(),
@@ -1017,7 +1056,7 @@ impl KvBackend for FileBackend {
                 Entry::Occupied(mut e) => {
                     let (old_off, old_len) = *e.get();
                     let old_len = old_len as usize;
-                    self.dead_bytes += record_len(key.len(), old_len);
+                    self.superseded.push(key.len(), old_off, old_len);
                     write_record_prefix(&mut buf, key, old_len + delta.len());
                     *e.get_mut() = (base + buf.len() as u64, (old_len + delta.len()) as u32);
                     match &self.map {
@@ -1077,56 +1116,44 @@ impl KvBackend for FileBackend {
     /// blocks borrow from the carry buffer for the duration of each `visit`.
     /// Either way record parsing rides the `put_batch` layout (batched
     /// records are physically contiguous) and superseded records are skipped
-    /// via the live index.
+    /// by their offsets, walked in log order beside the records.
     fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
         let block = block.max(1);
         if !self.pending.is_empty() {
             // Unflushed one-at-a-time puts may not have reached the file yet;
             // fall back to the index-driven scan, which serves them.
-            scan_blocks(self.iter(), block, &mut |pairs: &[KvPair]| {
-                let refs: Vec<(&[u8], &[u8])> = pairs
-                    .iter()
-                    .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                    .collect();
-                visit(&refs);
-            });
-            return;
+            return visit_slices_of(self.iter(), block, visit);
         }
+        let dead = self.superseded.in_order();
+        let mut dead: &[u64] = &dead;
         if let Some(map) = &self.map {
             if map.len() as u64 == self.write_offset {
                 // Zero-copy fast path: every record lives in the mapping.
-                self.emit_live_records(map.as_slice(), 0, block, visit);
+                emit_live_records(map.as_slice(), 0, &mut dead, block, visit);
                 return;
             }
         }
-        let mut chunk = vec![0u8; self.scan_chunk];
+        // Chunks are read straight onto the tail of the carry buffer, which
+        // holds the incomplete record the previous chunk ended in.
         let mut carry: Vec<u8> = Vec::new();
-        let mut remaining = self.write_offset;
         let mut read_pos = 0u64; // absolute log offset of the next chunk read
         let mut file_pos = 0u64; // absolute log offset of carry[0]
-        loop {
-            if remaining > 0 {
-                let want = remaining.min(chunk.len() as u64) as usize;
-                // Positioned read: the scan tracks its own offset, so
-                // concurrent point lookups through the same handle are
-                // unaffected.  A truncated scan would silently drop lineage
-                // from query answers; like the other log I/O in this
-                // backend, treat failures as fatal.
-                read_exact_at(&self.reader, &mut chunk[..want], read_pos)
-                    .expect("lineage log scan read");
-                read_pos += want as u64;
-                remaining -= want as u64;
-                carry.extend_from_slice(&chunk[..want]);
-            }
+        while read_pos < self.write_offset {
+            let want = (self.write_offset - read_pos).min(self.scan_chunk as u64) as usize;
+            let at = carry.len();
+            carry.resize(at + want, 0);
+            // Positioned read: the scan tracks its own offset, so concurrent
+            // point lookups through the same handle are unaffected.  A
+            // truncated scan would silently drop lineage from query answers;
+            // like the other log I/O in this backend, treat failures as fatal.
+            read_exact_at(&self.reader, &mut carry[at..], read_pos).expect("lineage log scan read");
+            read_pos += want as u64;
             // Parse and emit every complete record in the carry buffer; the
             // borrowed blocks are handed out before the drain invalidates
             // them (a block may come up short at a chunk boundary).
-            let consumed = self.emit_live_records(&carry, file_pos, block, visit);
+            let consumed = emit_live_records(&carry, file_pos, &mut dead, block, visit);
             carry.drain(..consumed);
             file_pos += consumed as u64;
-            if remaining == 0 {
-                break;
-            }
         }
     }
 }

@@ -105,7 +105,7 @@ fn run_kv_model(
                 put(&mut model, &mut garbage, puts);
                 append(&mut model, &mut garbage, appends);
             }
-            5 => backend.flush().map_err(|e| e.to_string())?,
+            5 => backend.sync().map_err(|e| e.to_string())?,
             6 => {
                 backend.flush().map_err(|e| e.to_string())?;
                 let reclaimed = backend.compact().map_err(|e| e.to_string())?;
@@ -146,17 +146,21 @@ fn run_kv_model(
             prop_assert_eq!(found, expected.is_some());
             prop_assert_eq!(&buf, &expected.unwrap_or_default());
         }
+        // A scan after every step: superseded records written since the
+        // last sort (on open or `sync`) must be skipped as well.
+        let mut scanned: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        backend.scan_slices(5, &mut |block| {
+            scanned.extend(block.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
+        });
+        scanned.sort();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> =
+            model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        prop_assert_eq!(&scanned, &expected);
     }
     let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
     let mut iterated: Vec<_> = backend.iter().collect();
     iterated.sort();
     prop_assert_eq!(&iterated, &expected);
-    let mut scanned: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    backend.scan_slices(5, &mut |block| {
-        scanned.extend(block.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
-    });
-    scanned.sort();
-    prop_assert_eq!(&scanned, &expected);
     Ok(())
 }
 
@@ -169,14 +173,26 @@ proptest! {
             (0u8..8, prop::collection::vec((0u8..18, prop::collection::vec(any::<u8>(), 0..20)), 0..6)),
             1..40,
         ),
+        chunk in 1usize..17,
     ) {
         run_kv_model(Box::new(MemBackend::new()), None, &ops)?;
-        for mode in [ScanMode::Mmap, ScanMode::Pread] {
-            let path = scratch_file(&format!("model-{mode:?}"));
+        // The third leg reads the log in chunks of a few bytes, so records
+        // straddle chunk boundaries and the scan's walk over the superseded
+        // offsets resumes at every chunk: the default 256 KiB chunk never
+        // splits a model log.
+        for (mode, chunk) in [
+            (ScanMode::Mmap, None),
+            (ScanMode::Pread, None),
+            (ScanMode::Pread, Some(chunk)),
+        ] {
+            let path = scratch_file(&format!("model-{mode:?}-{}", chunk.is_some()));
             let _ = std::fs::remove_file(&path);
             let open = || -> Box<dyn KvBackend> {
                 let mut file = FileBackend::open(&path).unwrap();
                 file.set_scan_mode(mode);
+                if let Some(bytes) = chunk {
+                    file.set_scan_chunk(bytes);
+                }
                 Box::new(file)
             };
             run_kv_model(open(), Some(&open), &ops)?;
