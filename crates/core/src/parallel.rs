@@ -36,47 +36,6 @@ pub fn split_budget(workers: usize, shares: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items`, preserving order, using up to `workers` scoped
-/// threads.  Runs serially when `workers <= 1` or the input is shorter than
-/// `min_items` (and always below two items): callers whose items are cheap
-/// pass a threshold that amortises a spawn, those with a handful of heavy
-/// items a small one so even they fan out.
-pub fn parallel_map_min<T, U, F>(items: &[T], workers: usize, min_items: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    if workers <= 1 || items.len() < min_items.max(2) {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    // A budget larger than the item count would slice chunks of one item
-    // anyway; cap it so the chunk arithmetic can never produce more threads
-    // than items.
-    let workers = workers.min(items.len());
-    let chunk = items.len().div_ceil(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(ci * chunk + i, t))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("encode worker panicked"))
-            .collect()
-    })
-}
-
 /// Splits `items` into up to `workers` contiguous chunks and maps `g` over
 /// the chunks on scoped threads, returning the per-chunk results in order.
 ///
@@ -84,33 +43,21 @@ where
 /// shape the arena encode phase and the batched lookups want: each worker
 /// owns one contiguous shard and can amortise per-shard state (an encode
 /// arena, a decoded-entry cache) across every item in it.  With `workers <=
-/// 1` or fewer than `min_items` items the whole input is one chunk processed
-/// inline, so chunking never changes observable results — only how the work
-/// is sliced.
+/// 1` or fewer than `min_items` items (and always below two) the whole input
+/// is one chunk processed inline, so chunking never changes observable
+/// results — only how the work is sliced.  A budget larger than the item
+/// count is capped at one chunk per item.
 pub fn parallel_chunks<T, U, F>(items: &[T], workers: usize, min_items: usize, g: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &[T]) -> U + Sync,
 {
-    if workers <= 1 || items.len() < min_items.max(2) {
-        return vec![g(0, items)];
-    }
-    let workers = workers.min(items.len());
-    let chunk = items.len().div_ceil(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let g = &g;
-                scope.spawn(move || g(ci * chunk, slice))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chunk worker panicked"))
-            .collect()
+    // One unit state per worker; a `Vec` of zero-sized values never
+    // allocates.
+    let mut states = vec![(); workers.max(1)];
+    parallel_chunks_stateful(items, &mut states, min_items, |start, _, slice| {
+        g(start, slice)
     })
 }
 
@@ -204,12 +151,32 @@ mod tests {
         seen.into_inner().unwrap()
     }
 
+    /// `parallel_chunks` used as an order-preserving map: `f` sees every
+    /// item with its global index, and the chunk results are concatenated.
+    fn chunked_map<U: Send>(
+        items: &[u32],
+        workers: usize,
+        min_items: usize,
+        f: impl Fn(usize, u32) -> U + Sync,
+    ) -> Vec<U> {
+        parallel_chunks(items, workers, min_items, |start, slice| {
+            slice
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| f(start + i, v))
+                .collect::<Vec<U>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     #[test]
     fn zero_workers_and_empty_inputs_never_spawn() {
         // workers == 0 stays on the calling thread.
         let items: Vec<u32> = (0..100).collect();
         let seen = observed_threads(|probe| {
-            let out = parallel_map_min(&items, 0, 2, |i, &v| {
+            let out = chunked_map(&items, 0, 2, |i, v| {
                 probe();
                 v + i as u32
             });
@@ -218,17 +185,17 @@ mod tests {
         assert_eq!(seen.len(), 1, "workers=0 must not spawn");
         assert!(seen.contains(&std::thread::current().id()));
 
-        // An empty input short-circuits before any scope is entered.
+        // An empty input is one inline chunk: no scope is entered.
         let empty: Vec<u32> = Vec::new();
         let seen = observed_threads(|probe| {
-            assert!(parallel_map_min(&empty, 8, 0, |_, &v| {
+            let out = parallel_chunks(&empty, 8, 0, |_, s| {
                 probe();
-                v
-            })
-            .is_empty());
+                s.len()
+            });
+            assert_eq!(out, vec![0]);
         });
-        assert!(seen.is_empty(), "empty input must not run f at all");
-        assert_eq!(parallel_chunks(&empty, 8, 0, |_, s| s.len()), vec![0]);
+        assert_eq!(seen.len(), 1, "empty input must not spawn");
+        assert!(seen.contains(&std::thread::current().id()));
     }
 
     #[test]
@@ -237,7 +204,7 @@ mod tests {
         // the items (the serial threshold is forced down to let it fan out).
         let items = [1u32, 2, 3];
         let seen = observed_threads(|probe| {
-            let out = parallel_map_min(&items, 64, 2, |i, &v| {
+            let out = chunked_map(&items, 64, 2, |i, v| {
                 probe();
                 v + i as u32
             });
@@ -254,15 +221,15 @@ mod tests {
 
     proptest! {
         #[test]
-        fn parallel_map_min_matches_serial_for_any_config(
+        fn parallel_chunks_map_matches_serial_for_any_config(
             len in 0usize..40,
             workers in 0usize..12,
             min_items in 0usize..12,
         ) {
-            let items: Vec<u64> = (0..len as u64).map(|v| v * 3 + 1).collect();
-            let serial: Vec<u64> =
-                items.iter().enumerate().map(|(i, &v)| v * 2 + i as u64).collect();
-            let par = parallel_map_min(&items, workers, min_items, |i, &v| v * 2 + i as u64);
+            let items: Vec<u32> = (0..len as u32).map(|v| v * 3 + 1).collect();
+            let serial: Vec<u32> =
+                items.iter().enumerate().map(|(i, &v)| v * 2 + i as u32).collect();
+            let par = chunked_map(&items, workers, min_items, |i, v| v * 2 + i as u32);
             prop_assert_eq!(par, serial);
         }
 
@@ -311,7 +278,7 @@ mod tests {
     fn parallel_map_preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
         for workers in [1, 2, 5] {
-            let out = parallel_map_min(&items, workers, 64, |i, &v| (i as u32, v * 2));
+            let out = chunked_map(&items, workers, 64, |i, v| (i as u32, v * 2));
             assert_eq!(out.len(), 1000);
             for (i, (idx, doubled)) in out.iter().enumerate() {
                 assert_eq!(*idx as usize, i);
@@ -322,13 +289,18 @@ mod tests {
 
     #[test]
     fn parallel_map_small_inputs_stay_serial() {
+        // Below `min_items` the input is one inline chunk on the caller.
         let items = [1, 2, 3];
-        assert_eq!(
-            parallel_map_min(&items, 8, 64, |_, &v| v + 1),
-            vec![2, 3, 4]
-        );
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map_min(&empty, 8, 64, |_, &v| v).is_empty());
+        let seen = observed_threads(|probe| {
+            let out = chunked_map(&items, 8, 64, |_, v| {
+                probe();
+                v + 1
+            });
+            assert_eq!(out, vec![2, 3, 4]);
+        });
+        assert_eq!(seen.len(), 1, "a small input must not spawn");
+        assert!(seen.contains(&std::thread::current().id()));
+        assert_eq!(parallel_chunks(&items, 8, 64, |_, s| s.len()), vec![3]);
     }
 
     #[test]
@@ -356,17 +328,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_min_fans_out_small_heavy_inputs() {
+    fn parallel_chunks_fan_out_small_heavy_inputs() {
         // 4 items is below the default threshold but above an explicit one.
         let items = [10u32, 20, 30, 40];
         for workers in [1, 2, 8] {
+            let chunks = parallel_chunks(&items, workers, 2, |_, s| s.len());
+            assert_eq!(chunks.len(), workers.min(items.len()), "workers={workers}");
             assert_eq!(
-                parallel_map_min(&items, workers, 2, |i, &v| v + i as u32),
+                chunked_map(&items, workers, 2, |i, v| v + i as u32),
                 vec![10, 21, 32, 43],
                 "workers={workers}"
             );
         }
-        assert!(parallel_map_min(&[] as &[u32], 8, 2, |_, &v| v).is_empty());
     }
 
     #[test]

@@ -30,9 +30,13 @@
 //! and re-execution using the statistics gathered at capture time, bounding
 //! the worst case to roughly the cost of the black-box approach.
 //!
+//! All of this is one [`QueryWalk`], generic over the [`QueryBackend`] that
+//! supplies stored lookups: the runtime's datastores for a session, a daemon
+//! session for `subzero_server::RemoteSession`.
+//!
 //! The legacy [`LineageQuery`] + [`QueryExecutor`] surface — explicit
-//! hand-assembled step vectors — remains as a thin shim over the same step
-//! engine, for parity testing and for callers that need to pin one exact
+//! hand-assembled step vectors — remains as a thin shim over the same
+//! walk, for parity testing and for callers that need to pin one exact
 //! path.  Hand-built paths are validated against the DAG: a path that skips
 //! an operator or crosses the wrong input slot fails with
 //! [`QueryError::InvalidPath`] naming the offending edge instead of
@@ -46,10 +50,13 @@ use std::time::{Duration, Instant};
 use subzero_array::{CellSet, Coord, Shape};
 use subzero_engine::executor::{EngineError, WorkflowRun};
 use subzero_engine::paths::{self, ArrayNode, Edge, PathError};
-use subzero_engine::{Engine, InputSource, LineageMode, OpId, OperatorExt, RegionPair, Workflow};
+use subzero_engine::workflow::WorkflowNode;
+use subzero_engine::{
+    Engine, InputSource, LineageMode, OpId, OpMeta, OperatorExt, RegionPair, Workflow,
+};
 
 use crate::datastore::{self, LookupOutcome};
-use crate::model::Direction;
+use crate::model::{Direction, StorageStrategy};
 use crate::reexec;
 use crate::runtime::Runtime;
 
@@ -87,6 +94,13 @@ pub enum QueryError {
     Spec(String),
     /// An engine-level failure (missing run record, missing array version).
     Engine(EngineError),
+    /// A step needs operator `op` re-executed in tracing mode, which the
+    /// session's backend cannot do (a daemon session stores lineage but
+    /// never runs operators).
+    NeedsReexecution {
+        /// The operator whose step needs re-execution.
+        op: OpId,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -112,6 +126,11 @@ impl fmt::Display for QueryError {
             QueryError::Path(e) => write!(f, "cannot derive query path: {e}"),
             QueryError::Spec(s) => write!(f, "malformed query: {s}"),
             QueryError::Engine(e) => write!(f, "engine error: {e}"),
+            QueryError::NeedsReexecution { op } => write!(
+                f,
+                "operator {op} has no stored lineage to answer from and needs \
+                 re-execution, which this session cannot run"
+            ),
         }
     }
 }
@@ -397,7 +416,7 @@ impl QueryTimePolicy {
 }
 
 // ---------------------------------------------------------------------------
-// The step engine: one traversal step for a batch of query intermediates.
+// The walk: one traversal for a batch of queries, over a query backend.
 // ---------------------------------------------------------------------------
 
 /// Per-array, per-query intermediates of one traversal (one [`CellSet`]
@@ -526,7 +545,7 @@ impl QueryCache {
     }
 }
 
-/// The cache a [`StepEngine`] works against: borrowed from the system façade
+/// The cache a [`QueryWalk`] works against: borrowed from the system façade
 /// (cross-session) or owned (session-private fallback).
 enum CacheHandle<'a> {
     Owned(QueryCache),
@@ -542,63 +561,378 @@ impl CacheHandle<'_> {
     }
 }
 
-/// Executes single traversal steps for batches of query intermediates,
-/// sharing the heavy artifacts across the batch: one traced re-execution per
-/// operator (cached in the [`QueryCache`], across sessions when the cache is
-/// shared), one datastore lookup batch — and therefore at most one
-/// mismatched-direction scan — per step.
-struct StepEngine<'a> {
-    engine: &'a Engine,
-    runtime: &'a mut Runtime,
-    options: QueryOptions,
-    policy: QueryTimePolicy,
-    /// Plans + traced re-execution pairs, shared across sessions when the
-    /// session was built by the system façade.
-    cache: CacheHandle<'a>,
+/// What a [`QueryWalk`] needs from the store behind it.
+///
+/// The walk itself is shared: plan derivation, frontier bookkeeping and the
+/// per-query choice between the entire-array shortcut, mapping functions,
+/// stored lineage and re-execution.  A backend answers only for what it
+/// holds.  [`QuerySession`] runs over an in-process [`Runtime`];
+/// `subzero_server::RemoteSession` runs over a daemon session, which stores
+/// lineage but cannot re-run operators.
+pub trait QueryBackend {
+    /// The error a query over this backend reports.
+    type Error: From<QueryError>;
+
+    /// The workflow whose DAG the walk traverses.
+    fn workflow(&self) -> &Workflow;
+
+    /// The array shapes of operator `op`.
+    fn meta(&self, op: OpId) -> Result<&OpMeta, Self::Error>;
+
+    /// The storage strategies assigned to `op` (empty when none are).
+    fn strategies(&self, op: OpId) -> &[StorageStrategy];
+
+    /// The entry count of `op`'s largest datastore, or `None` when no
+    /// lineage is stored for `op`.
+    fn stored_entries(&mut self, op: OpId) -> Option<usize>;
+
+    /// Answers a batch of stored lookups crossing `op` through input
+    /// `input_idx`: one outcome per query, in query order.
+    fn lookup_many(
+        &mut self,
+        op: OpId,
+        input_idx: usize,
+        direction: Direction,
+        queries: &[&CellSet],
+    ) -> Result<Vec<LookupOutcome>, Self::Error>;
+
+    /// What re-running `op` is estimated to cost, for the query-time
+    /// policy.  `None` (the default) where re-execution cannot run, so the
+    /// policy never picks it.
+    fn reexec_cost(&self, _op: OpId) -> Option<Duration> {
+        None
+    }
+
+    /// The region pairs traced by re-running `op` in tracing mode, served
+    /// from and derived into `cache`.  The default cannot re-execute and
+    /// fails with [`QueryError::NeedsReexecution`].
+    fn trace(
+        &mut self,
+        op: OpId,
+        _cache: &mut QueryCache,
+    ) -> Result<Arc<Vec<RegionPair>>, Self::Error> {
+        Err(QueryError::NeedsReexecution { op }.into())
+    }
 }
 
-impl<'a> StepEngine<'a> {
-    fn new(engine: &'a Engine, runtime: &'a mut Runtime) -> Self {
-        StepEngine {
-            engine,
-            runtime,
+/// The in-process backend: one executed run, its records and the runtime's
+/// datastores.
+struct LocalBackend<'a> {
+    engine: &'a Engine,
+    runtime: &'a mut Runtime,
+    run: &'a WorkflowRun,
+}
+
+impl QueryBackend for LocalBackend<'_> {
+    type Error = QueryError;
+
+    fn workflow(&self) -> &Workflow {
+        &self.run.workflow
+    }
+
+    fn meta(&self, op: OpId) -> Result<&OpMeta, QueryError> {
+        Ok(&self.run.record(op)?.meta)
+    }
+
+    fn strategies(&self, op: OpId) -> &[StorageStrategy] {
+        self.runtime.strategy().get(op).unwrap_or_default()
+    }
+
+    fn stored_entries(&mut self, op: OpId) -> Option<usize> {
+        let run_id = self.run.run_id;
+        self.runtime.has_lineage(run_id, op).then(|| {
+            self.runtime
+                .datastores(run_id, op)
+                .iter()
+                .map(|d| d.num_entries())
+                .max()
+                .unwrap_or(0)
+        })
+    }
+
+    fn lookup_many(
+        &mut self,
+        op_id: OpId,
+        input_idx: usize,
+        direction: Direction,
+        queries: &[&CellSet],
+    ) -> Result<Vec<LookupOutcome>, QueryError> {
+        let meta = &self.run.record(op_id)?.meta;
+        let node = self
+            .run
+            .workflow
+            .node(op_id)
+            .map_err(EngineError::Workflow)?;
+        let stores = self.runtime.datastores(self.run.run_id, op_id);
+        Ok(match datastore::serving(stores, direction) {
+            Some(store) => {
+                store.lookup_many(direction, queries, input_idx, node.operator.as_ref(), meta)
+            }
+            None => queries
+                .iter()
+                .map(|q| LookupOutcome {
+                    result: CellSet::empty(target_shape(meta, input_idx, direction)),
+                    covered: CellSet::empty(q.shape()),
+                    entries_fetched: 0,
+                    scanned: false,
+                })
+                .collect(),
+        })
+    }
+
+    fn reexec_cost(&self, op: OpId) -> Option<Duration> {
+        self.run.record(op).ok().map(|r| r.elapsed)
+    }
+
+    fn trace(
+        &mut self,
+        op: OpId,
+        cache: &mut QueryCache,
+    ) -> Result<Arc<Vec<RegionPair>>, QueryError> {
+        let (engine, run) = (self.engine, self.run);
+        cache.trace((run.workflow.dag_hash(), run.run_id, op), || {
+            Ok(engine.rerun_tracing(run, op)?.0)
+        })
+    }
+}
+
+/// One traversal over a [`QueryBackend`]: derives the plan between two
+/// arrays, seeds one frontier per query, crosses every planned edge for the
+/// whole batch at once, and collects the destination array.
+///
+/// Each step shares its heavy artifacts across the batch: one stored lookup
+/// call (so at most one mismatched-direction scan) and one traced
+/// re-execution per operator, cached in the [`QueryCache`] (across sessions
+/// when the cache is shared).
+pub struct QueryWalk<'c, B> {
+    backend: B,
+    options: QueryOptions,
+    policy: QueryTimePolicy,
+    cache: CacheHandle<'c>,
+}
+
+impl<B: QueryBackend> QueryWalk<'_, B> {
+    /// A walk over `backend` with default options and a private cache.
+    pub fn new(backend: B) -> Self {
+        QueryWalk {
+            backend,
             options: QueryOptions::default(),
             policy: QueryTimePolicy::default(),
             cache: CacheHandle::Owned(QueryCache::new()),
         }
     }
 
+    /// Runs one [`QuerySpec`] shape over several cell batches (the spec's
+    /// own `cells` are ignored), sharing every step across the batch.
+    pub fn query_many(
+        &mut self,
+        spec: &QuerySpec,
+        batches: &[Vec<Coord>],
+    ) -> Result<Vec<QueryResult>, B::Error> {
+        let edges = self.plan_for(spec.direction, &spec.from, &spec.to)?;
+        let (mut frontier, reports) =
+            self.run_edges(spec.direction, &edges, &spec.from, batches)?;
+        self.collect_results(&mut frontier, &spec.to, reports, batches.len())
+    }
+
+    /// The derived traversal edges between two arrays, in execution order —
+    /// served from the [`QueryCache`] when an equal workflow specification
+    /// already derived this plan (in this walk or any other sharing the
+    /// cache).
+    fn plan_for(
+        &mut self,
+        direction: Direction,
+        from: &ArrayNode,
+        to: &ArrayNode,
+    ) -> Result<Arc<Vec<Edge>>, B::Error> {
+        let wf = self.backend.workflow();
+        let key = (wf.dag_hash(), direction, from.clone(), to.clone());
+        Ok(self.cache.get_mut().plan(key, || match direction {
+            Direction::Backward => {
+                let ArrayNode::Output(op) = from else {
+                    return Err(QueryError::Spec(
+                        "backward queries start from an operator's output array".into(),
+                    ));
+                };
+                Ok(paths::backward_plan(wf, *op, to)?.edges)
+            }
+            Direction::Forward => {
+                let ArrayNode::Output(op) = to else {
+                    return Err(QueryError::Spec(
+                        "forward queries end at an operator's output array".into(),
+                    ));
+                };
+                Ok(paths::forward_plan(wf, from, *op)?.edges)
+            }
+        })?)
+    }
+
+    /// The workflow node of `op`.
+    fn node(&self, op: OpId) -> Result<&WorkflowNode, B::Error> {
+        let node = self.backend.workflow().node(op);
+        Ok(node.map_err(|e| QueryError::Engine(EngineError::Workflow(e)))?)
+    }
+
+    /// The shape of an array of the workflow.
+    fn array_shape(&self, node: &ArrayNode) -> Result<Shape, B::Error> {
+        match node {
+            ArrayNode::Output(op) => Ok(self.backend.meta(*op)?.output_shape),
+            ArrayNode::External(name) => {
+                for n in self.backend.workflow().nodes() {
+                    for (idx, src) in n.inputs.iter().enumerate() {
+                        if matches!(src, InputSource::External(x) if x == name) {
+                            return Ok(self.backend.meta(n.id)?.input_shapes[idx]);
+                        }
+                    }
+                }
+                Err(QueryError::Path(PathError::UnknownSource(name.clone())).into())
+            }
+        }
+    }
+
+    /// The starting frontier (each batch's cells on `from`) and one empty
+    /// report per query.
+    fn seed(
+        &self,
+        from: &ArrayNode,
+        batches: &[Vec<Coord>],
+    ) -> Result<(Frontier, Vec<QueryReport>), B::Error> {
+        let shape = self.array_shape(from)?;
+        let mut frontier = Frontier::new();
+        frontier.insert(
+            from.clone(),
+            batches
+                .iter()
+                .map(|cells| CellSet::from_coords(shape, cells.iter().copied()))
+                .collect(),
+        );
+        Ok((frontier, vec![QueryReport::default(); batches.len()]))
+    }
+
+    /// Executes a derived edge list over per-query frontiers.  Returns the
+    /// final frontier (per array, one [`CellSet`] per query) and the
+    /// per-query reports.
+    fn run_edges(
+        &mut self,
+        direction: Direction,
+        edges: &[Edge],
+        from: &ArrayNode,
+        batches: &[Vec<Coord>],
+    ) -> Result<(Frontier, Vec<QueryReport>), B::Error> {
+        let start = Instant::now();
+        let (mut frontier, mut reports) = self.seed(from, batches)?;
+        for &(op, idx) in edges {
+            self.run_edge(direction, op, idx, &mut frontier, &mut reports)?;
+        }
+        for r in &mut reports {
+            r.total_elapsed = start.elapsed();
+        }
+        Ok((frontier, reports))
+    }
+
+    /// Executes one edge of a traversal: reads the per-query intermediates
+    /// on the edge's input array, crosses the operator, and unions the
+    /// results into the edge's target array.  Returns the step's per-query
+    /// results, or `None` when every intermediate was empty and the step was
+    /// skipped.
+    #[allow(clippy::type_complexity)]
+    fn run_edge(
+        &mut self,
+        direction: Direction,
+        op_id: OpId,
+        input_idx: usize,
+        frontier: &mut Frontier,
+        reports: &mut [QueryReport],
+    ) -> Result<Option<Vec<(CellSet, StepReport)>>, B::Error> {
+        let nq = reports.len();
+        let Some(src) = self.node(op_id)?.inputs.get(input_idx) else {
+            return Err(QueryError::BadInputIndex {
+                op: op_id,
+                input_idx,
+            }
+            .into());
+        };
+        let side_array = array_node_of(src);
+        let (input_node, target_node) = match direction {
+            Direction::Backward => (ArrayNode::Output(op_id), side_array),
+            Direction::Forward => (side_array, ArrayNode::Output(op_id)),
+        };
+        let target_shape = self.array_shape(&target_node)?;
+        let ensure_target = |frontier: &mut Frontier| {
+            frontier
+                .entry(target_node.clone())
+                .or_insert_with(|| vec![CellSet::empty(target_shape); nq]);
+        };
+        // The frontier borrow ends once step_many returns (the walk never
+        // keeps the frontier), so no per-edge clone is needed.
+        let Some(inputs) = frontier.get(&input_node) else {
+            // Nothing ever flowed into this edge's input array (possible for
+            // merged multi-destination traversals); its contribution is empty.
+            ensure_target(frontier);
+            return Ok(None);
+        };
+        if inputs.iter().all(CellSet::is_empty) {
+            ensure_target(frontier);
+            return Ok(None);
+        }
+        let results = self.step_many(op_id, input_idx, direction, inputs)?;
+        ensure_target(frontier);
+        let entry = frontier.get_mut(&target_node).expect("just ensured");
+        for ((acc, (cells, report)), query_report) in
+            entry.iter_mut().zip(&results).zip(reports.iter_mut())
+        {
+            acc.union_with(cells);
+            query_report.steps.push(report.clone());
+        }
+        Ok(Some(results))
+    }
+
+    /// Extracts per-query results for one destination array.
+    fn collect_results(
+        &self,
+        frontier: &mut Frontier,
+        to: &ArrayNode,
+        reports: Vec<QueryReport>,
+        nq: usize,
+    ) -> Result<Vec<QueryResult>, B::Error> {
+        let shape = self.array_shape(to)?;
+        let cells = frontier
+            .remove(to)
+            .unwrap_or_else(|| vec![CellSet::empty(shape); nq]);
+        Ok(cells
+            .into_iter()
+            .zip(reports)
+            .map(|(cells, report)| QueryResult { cells, report })
+            .collect())
+    }
+
     /// Executes one `(operator, input index)` step for every intermediate in
     /// `currents`, returning the per-query results and reports.
     fn step_many(
         &mut self,
-        run: &WorkflowRun,
         op_id: OpId,
         input_idx: usize,
         direction: Direction,
         currents: &[CellSet],
-    ) -> Result<Vec<(CellSet, StepReport)>, QueryError> {
+    ) -> Result<Vec<(CellSet, StepReport)>, B::Error> {
         let step_start = Instant::now();
-        let record = run.record(op_id)?;
-        let meta = &record.meta;
+        let meta = self.backend.meta(op_id)?;
         if input_idx >= meta.input_shapes.len() {
             return Err(QueryError::BadInputIndex {
                 op: op_id,
                 input_idx,
-            });
+            }
+            .into());
         }
-        let node = run.workflow.node(op_id).map_err(EngineError::Workflow)?;
-        let op = node.operator.as_ref();
+        let target_shape = target_shape(meta, input_idx, direction);
+        let stored_entries = self.backend.stored_entries(op_id);
+        let op = self.node(op_id)?.operator.as_ref();
         let backward = direction == Direction::Backward;
-        let target_shape = match direction {
-            Direction::Backward => meta.input_shapes[input_idx],
-            Direction::Forward => meta.output_shape,
-        };
 
         // --- Choose the step method per query -----------------------------
-        let strategies = self.runtime.strategies_for(op_id);
-        let has_stored = self.runtime.has_lineage(run.run_id, op_id);
+        let strategies = self.backend.strategies(op_id);
         let explicit_map = strategies.iter().any(|s| s.mode == LineageMode::Map);
+        let is_composite = strategies.iter().any(|s| s.mode == LineageMode::Comp);
         // An explicit all-Blackbox assignment means "re-run this operator at
         // query time even if it has mapping functions" — that is what the
         // paper's BlackBox baseline does for every operator.
@@ -606,28 +940,18 @@ impl<'a> StepEngine<'a> {
             !strategies.is_empty() && strategies.iter().all(|s| s.mode == LineageMode::Blackbox);
         let use_mapping_only = if forced_blackbox {
             false
-        } else if has_stored {
+        } else if stored_entries.is_some() {
             explicit_map
         } else {
             // No materialised lineage: a mapping operator answers from its
             // mapping functions; anything else re-executes.
             op.is_mapping()
         };
-        let (serving, total_entries) = if has_stored {
-            let serving = strategies
+        let serving = stored_entries.is_some()
+            && strategies
                 .iter()
                 .any(|s| s.stores_pairs() && s.serves(direction));
-            let total_entries: usize = self
-                .runtime
-                .datastores(run.run_id, op_id)
-                .iter()
-                .map(|d| d.num_entries())
-                .max()
-                .unwrap_or(0);
-            (serving, total_entries)
-        } else {
-            (false, 0)
-        };
+        let reexec_cost = self.backend.reexec_cost(op_id);
 
         let choices: Vec<StepChoice> = currents
             .iter()
@@ -648,14 +972,14 @@ impl<'a> StepEngine<'a> {
                     StepChoice::Reexec
                 } else if use_mapping_only {
                     StepChoice::Mapping
-                } else if has_stored {
+                } else if let Some(total_entries) = stored_entries {
+                    // The query-time optimizer weighs stored lineage against
+                    // re-execution only where re-execution can run.
                     let use_stored = !self.options.query_time_optimizer
-                        || self.policy.prefer_stored(
-                            serving,
-                            current.len(),
-                            total_entries,
-                            record.elapsed,
-                        );
+                        || reexec_cost.is_none_or(|cost| {
+                            self.policy
+                                .prefer_stored(serving, current.len(), total_entries, cost)
+                        });
                     if use_stored {
                         StepChoice::Stored
                     } else {
@@ -668,49 +992,35 @@ impl<'a> StepEngine<'a> {
             .collect();
 
         // --- Stored lookups: one batched call for the whole group ---------
-        let stored_idx: Vec<usize> = (0..currents.len())
-            .filter(|&i| choices[i] == StepChoice::Stored)
+        let group: Vec<&CellSet> = currents
+            .iter()
+            .zip(&choices)
+            .filter(|(_, &c)| c == StepChoice::Stored)
+            .map(|(current, _)| current)
             .collect();
-        let mut stored_outcomes: HashMap<usize, LookupOutcome> = HashMap::new();
-        if !stored_idx.is_empty() {
-            let group: Vec<&CellSet> = stored_idx.iter().map(|&i| &currents[i]).collect();
-            let stores = self.runtime.datastores(run.run_id, op_id);
-            let outcomes = match datastore::serving(stores, direction) {
-                Some(store) => store.lookup_many(direction, &group, input_idx, op, meta),
-                None => group
-                    .iter()
-                    .map(|_| LookupOutcome {
-                        result: CellSet::empty(target_shape),
-                        covered: CellSet::empty(currents[stored_idx[0]].shape()),
-                        entries_fetched: 0,
-                        scanned: false,
-                    })
-                    .collect(),
-            };
-            for (&i, outcome) in stored_idx.iter().zip(outcomes) {
-                stored_outcomes.insert(i, outcome);
-            }
+        let mut stored_outcomes = if group.is_empty() {
+            Vec::new()
+        } else {
+            self.backend
+                .lookup_many(op_id, input_idx, direction, &group)?
         }
+        .into_iter();
 
         // --- Re-execution: trace the operator once ever per (run, op) -----
         let reexec_pairs: Option<Arc<Vec<RegionPair>>> = if choices.contains(&StepChoice::Reexec) {
-            let engine = self.engine;
-            let key = (run.workflow.dag_hash(), run.run_id, op_id);
-            Some(self.cache.get_mut().trace(key, || {
-                let (pairs, _elapsed) = engine.rerun_tracing(run, op_id)?;
-                Ok(pairs)
-            })?)
+            Some(self.backend.trace(op_id, self.cache.get_mut())?)
         } else {
             None
         };
 
         // --- Assemble per-query results ------------------------------------
-        let is_composite = strategies.iter().any(|s| s.mode == LineageMode::Comp);
+        let meta = self.backend.meta(op_id)?;
+        let op = self.node(op_id)?.operator.as_ref();
         let mut out = Vec::with_capacity(currents.len());
-        for (i, current) in currents.iter().enumerate() {
+        for (current, &choice) in currents.iter().zip(&choices) {
             let (mut result, mut method, mut scanned) =
                 (CellSet::empty(target_shape), StepMethod::Mapping, false);
-            match choices[i] {
+            match choice {
                 StepChoice::Empty => {
                     // Nothing ran for this query; say so instead of
                     // misattributing the step to a method that never
@@ -737,7 +1047,10 @@ impl<'a> StepEngine<'a> {
                     method = StepMethod::Reexecution;
                 }
                 StepChoice::Stored => {
-                    let outcome = stored_outcomes.remove(&i).expect("grouped outcome");
+                    // Outcomes come back in query order, one per stored query.
+                    let outcome = stored_outcomes
+                        .next()
+                        .expect("one outcome per stored query");
                     scanned = outcome.scanned;
                     result = outcome.result;
                     method = StepMethod::Stored;
@@ -785,17 +1098,22 @@ impl<'a> StepEngine<'a> {
     }
 }
 
+/// The shape of the array a step lands on.
+fn target_shape(meta: &OpMeta, input_idx: usize, direction: Direction) -> Shape {
+    match direction {
+        Direction::Backward => meta.input_shapes[input_idx],
+        Direction::Forward => meta.output_shape,
+    }
+}
+
 fn apply_mapping(
     op: &dyn subzero_engine::Operator,
-    meta: &subzero_engine::OpMeta,
+    meta: &OpMeta,
     current: &CellSet,
     input_idx: usize,
     direction: Direction,
 ) -> CellSet {
-    let target_shape = match direction {
-        Direction::Backward => meta.input_shapes[input_idx],
-        Direction::Forward => meta.output_shape,
-    };
+    let target_shape = target_shape(meta, input_idx, direction);
     let mut result = CellSet::empty(target_shape);
     for cell in current.iter() {
         let mapped = match direction {
@@ -852,28 +1170,30 @@ fn array_node_of(src: &InputSource) -> ArrayNode {
 /// Work is amortised across the queries of one session: traced re-execution
 /// pairs are computed once per operator and reused by every later query.
 pub struct QuerySession<'a> {
-    steps: StepEngine<'a>,
-    run: &'a WorkflowRun,
+    walk: QueryWalk<'a, LocalBackend<'a>>,
 }
 
 impl<'a> QuerySession<'a> {
     /// Creates a session over one executed run.
     pub fn new(engine: &'a Engine, runtime: &'a mut Runtime, run: &'a WorkflowRun) -> Self {
         QuerySession {
-            steps: StepEngine::new(engine, runtime),
-            run,
+            walk: QueryWalk::new(LocalBackend {
+                engine,
+                runtime,
+                run,
+            }),
         }
     }
 
     /// Overrides the executor options.
     pub fn with_options(mut self, options: QueryOptions) -> Self {
-        self.steps.options = options;
+        self.walk.options = options;
         self
     }
 
     /// Overrides the query-time policy.
     pub fn with_policy(mut self, policy: QueryTimePolicy) -> Self {
-        self.steps.policy = policy;
+        self.walk.policy = policy;
         self
     }
 
@@ -882,23 +1202,23 @@ impl<'a> QuerySession<'a> {
     /// instead of a session-private one.  The system façade does this with
     /// the cache it owns, so the artifacts survive the session borrow.
     pub fn with_cache(mut self, cache: &'a mut QueryCache) -> Self {
-        self.steps.cache = CacheHandle::Shared(cache);
+        self.walk.cache = CacheHandle::Shared(cache);
         self
     }
 
     /// Replaces the executor options for subsequent queries.
     pub fn set_options(&mut self, options: QueryOptions) {
-        self.steps.options = options;
+        self.walk.options = options;
     }
 
     /// Replaces the query-time policy for subsequent queries.
     pub fn set_policy(&mut self, policy: QueryTimePolicy) {
-        self.steps.policy = policy;
+        self.walk.policy = policy;
     }
 
     /// The run this session queries.
     pub fn run(&self) -> &WorkflowRun {
-        self.run
+        self.walk.backend.run
     }
 
     /// Starts a backward query over one set of cells.
@@ -981,171 +1301,7 @@ impl<'a> QuerySession<'a> {
         spec: &QuerySpec,
         batches: &[Vec<Coord>],
     ) -> Result<Vec<QueryResult>, QueryError> {
-        let edges = self.plan_for(spec.direction, &spec.from, &spec.to)?;
-        let (mut frontier, reports) =
-            self.run_edges(spec.direction, &edges, &spec.from, batches)?;
-        self.collect_results(&mut frontier, &spec.to, reports, batches.len())
-    }
-
-    /// The derived traversal edges between two arrays, in execution order —
-    /// served from the [`QueryCache`] when an equal workflow specification
-    /// already derived this plan (in this session or any earlier one sharing
-    /// the cache).
-    fn plan_for(
-        &mut self,
-        direction: Direction,
-        from: &ArrayNode,
-        to: &ArrayNode,
-    ) -> Result<Arc<Vec<Edge>>, QueryError> {
-        let wf: &Workflow = &self.run.workflow;
-        let key = (wf.dag_hash(), direction, from.clone(), to.clone());
-        self.steps.cache.get_mut().plan(key, || match direction {
-            Direction::Backward => {
-                let ArrayNode::Output(op) = from else {
-                    return Err(QueryError::Spec(
-                        "backward queries start from an operator's output array".into(),
-                    ));
-                };
-                Ok(paths::backward_plan(wf, *op, to)?.edges)
-            }
-            Direction::Forward => {
-                let ArrayNode::Output(op) = to else {
-                    return Err(QueryError::Spec(
-                        "forward queries end at an operator's output array".into(),
-                    ));
-                };
-                Ok(paths::forward_plan(wf, from, *op)?.edges)
-            }
-        })
-    }
-
-    /// The shape of an array of this run.
-    fn array_shape(&self, node: &ArrayNode) -> Result<Shape, QueryError> {
-        match node {
-            ArrayNode::Output(op) => Ok(self.run.record(*op)?.meta.output_shape),
-            ArrayNode::External(name) => {
-                for n in self.run.workflow.nodes() {
-                    for (idx, src) in n.inputs.iter().enumerate() {
-                        if matches!(src, InputSource::External(x) if x == name) {
-                            return Ok(self.run.record(n.id)?.meta.input_shapes[idx]);
-                        }
-                    }
-                }
-                Err(QueryError::Path(PathError::UnknownSource(name.clone())))
-            }
-        }
-    }
-
-    /// Executes a derived edge list over per-query frontiers.  Returns the
-    /// final frontier (per array, one [`CellSet`] per query) and the
-    /// per-query reports.
-    fn run_edges(
-        &mut self,
-        direction: Direction,
-        edges: &[Edge],
-        from: &ArrayNode,
-        batches: &[Vec<Coord>],
-    ) -> Result<(Frontier, Vec<QueryReport>), QueryError> {
-        let start = Instant::now();
-        let from_shape = self.array_shape(from)?;
-        let mut frontier = Frontier::new();
-        frontier.insert(
-            from.clone(),
-            batches
-                .iter()
-                .map(|cells| CellSet::from_coords(from_shape, cells.iter().copied()))
-                .collect(),
-        );
-        let mut reports = vec![QueryReport::default(); batches.len()];
-        for &(op, idx) in edges {
-            self.run_edge(direction, op, idx, &mut frontier, &mut reports)?;
-        }
-        for r in &mut reports {
-            r.total_elapsed = start.elapsed();
-        }
-        Ok((frontier, reports))
-    }
-
-    /// Executes one edge of a traversal: reads the per-query intermediates
-    /// on the edge's input array, crosses the operator, and unions the
-    /// results into the edge's target array.  Returns the step's per-query
-    /// results, or `None` when every intermediate was empty and the step was
-    /// skipped.
-    #[allow(clippy::type_complexity)]
-    fn run_edge(
-        &mut self,
-        direction: Direction,
-        op_id: OpId,
-        input_idx: usize,
-        frontier: &mut Frontier,
-        reports: &mut [QueryReport],
-    ) -> Result<Option<Vec<(CellSet, StepReport)>>, QueryError> {
-        let nq = reports.len();
-        let node = self
-            .run
-            .workflow
-            .node(op_id)
-            .map_err(EngineError::Workflow)?;
-        let Some(src) = node.inputs.get(input_idx) else {
-            return Err(QueryError::BadInputIndex {
-                op: op_id,
-                input_idx,
-            });
-        };
-        let side_array = array_node_of(src);
-        let (input_node, target_node) = match direction {
-            Direction::Backward => (ArrayNode::Output(op_id), side_array),
-            Direction::Forward => (side_array, ArrayNode::Output(op_id)),
-        };
-        let target_shape = self.array_shape(&target_node)?;
-        let ensure_target = |frontier: &mut Frontier| {
-            frontier
-                .entry(target_node.clone())
-                .or_insert_with(|| vec![CellSet::empty(target_shape); nq]);
-        };
-        // The frontier borrow ends once step_many returns (the step engine
-        // never touches the frontier), so no per-edge clone is needed.
-        let Some(inputs) = frontier.get(&input_node) else {
-            // Nothing ever flowed into this edge's input array (possible for
-            // merged multi-destination traversals); its contribution is empty.
-            ensure_target(frontier);
-            return Ok(None);
-        };
-        if inputs.iter().all(CellSet::is_empty) {
-            ensure_target(frontier);
-            return Ok(None);
-        }
-        let results = self
-            .steps
-            .step_many(self.run, op_id, input_idx, direction, inputs)?;
-        ensure_target(frontier);
-        let entry = frontier.get_mut(&target_node).expect("just ensured");
-        for ((acc, (cells, report)), query_report) in
-            entry.iter_mut().zip(&results).zip(reports.iter_mut())
-        {
-            acc.union_with(cells);
-            query_report.steps.push(report.clone());
-        }
-        Ok(Some(results))
-    }
-
-    /// Extracts per-query results for one destination array.
-    fn collect_results(
-        &self,
-        frontier: &mut Frontier,
-        to: &ArrayNode,
-        reports: Vec<QueryReport>,
-        nq: usize,
-    ) -> Result<Vec<QueryResult>, QueryError> {
-        let shape = self.array_shape(to)?;
-        let cells = frontier
-            .remove(to)
-            .unwrap_or_else(|| vec![CellSet::empty(shape); nq]);
-        Ok(cells
-            .into_iter()
-            .zip(reports)
-            .map(|(cells, report)| QueryResult { cells, report })
-            .collect())
+        self.walk.query_many(spec, batches)
     }
 
     /// Merged edges of several backward plans, in one valid execution order.
@@ -1154,7 +1310,7 @@ impl<'a> QuerySession<'a> {
             .iter()
             .flat_map(|(_, p)| p.edges.iter().copied())
             .collect();
-        let wf: &Workflow = &self.run.workflow;
+        let wf: &Workflow = &self.run().workflow;
         let mut edges = Vec::with_capacity(wanted.len());
         for &op in wf.topo_order().iter().rev() {
             let Ok(node) = wf.node(op) else { continue };
@@ -1171,7 +1327,7 @@ impl<'a> QuerySession<'a> {
 impl fmt::Debug for QuerySession<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuerySession")
-            .field("run_id", &self.run.run_id)
+            .field("run_id", &self.run().run_id)
             .finish()
     }
 }
@@ -1243,18 +1399,22 @@ impl<'s, 'a> BackwardQuery<'s, 'a> {
     pub fn to_sources(self) -> Result<Vec<(String, QueryResult)>, QueryError> {
         let from_op = self.0.from.ok_or(QueryError::MissingOrigin)?;
         let session = self.0.session;
-        let plans = paths::backward_source_plans(&session.run.workflow, from_op)?;
+        let plans = paths::backward_source_plans(&session.run().workflow, from_op)?;
         if plans.is_empty() {
             return Ok(Vec::new());
         }
         let edges = session.merge_backward_edges(&plans);
         let from = ArrayNode::Output(from_op);
         let (mut frontier, reports) =
-            session.run_edges(Direction::Backward, &edges, &from, &self.0.batches)?;
+            session
+                .walk
+                .run_edges(Direction::Backward, &edges, &from, &self.0.batches)?;
         let mut out = Vec::with_capacity(plans.len());
         for (name, _plan) in plans {
             let to = ArrayNode::external(name.clone());
-            let results = session.collect_results(&mut frontier, &to, reports.clone(), 1)?;
+            let results = session
+                .walk
+                .collect_results(&mut frontier, &to, reports.clone(), 1)?;
             let result = results.into_iter().next().expect("one result");
             out.push((name, result));
         }
@@ -1390,17 +1550,8 @@ impl<'s, 'a> LineageCursor<'s, 'a> {
         to: ArrayNode,
         batches: Vec<Vec<Coord>>,
     ) -> Result<Self, QueryError> {
-        let edges = session.plan_for(direction, &from, &to)?;
-        let from_shape = session.array_shape(&from)?;
-        let mut frontier = Frontier::new();
-        frontier.insert(
-            from.clone(),
-            batches
-                .iter()
-                .map(|cells| CellSet::from_coords(from_shape, cells.iter().copied()))
-                .collect::<Vec<_>>(),
-        );
-        let reports = vec![QueryReport::default(); batches.len()];
+        let edges = session.walk.plan_for(direction, &from, &to)?;
+        let (frontier, reports) = session.walk.seed(&from, &batches)?;
         Ok(LineageCursor {
             session,
             direction,
@@ -1426,7 +1577,7 @@ impl<'s, 'a> LineageCursor<'s, 'a> {
         while self.next < self.edges.len() {
             let (op_id, input_idx) = self.edges[self.next];
             self.next += 1;
-            match self.session.run_edge(
+            match self.session.walk.run_edge(
                 self.direction,
                 op_id,
                 input_idx,
@@ -1463,6 +1614,7 @@ impl<'s, 'a> LineageCursor<'s, 'a> {
         }
         let mut results =
             self.session
+                .walk
                 .collect_results(&mut self.frontier, &self.to, reports, nq)?;
         Ok(results.swap_remove(0))
     }
@@ -1476,26 +1628,34 @@ impl<'s, 'a> LineageCursor<'s, 'a> {
 /// runtime pair.  Runs on the same step engine as [`QuerySession`]; prefer
 /// the session API, which derives paths from the DAG and batches queries.
 pub struct QueryExecutor<'a> {
-    steps: StepEngine<'a>,
+    engine: &'a Engine,
+    runtime: &'a mut Runtime,
+    options: QueryOptions,
+    policy: QueryTimePolicy,
+    cache: QueryCache,
 }
 
 impl<'a> QueryExecutor<'a> {
     /// Creates an executor with default options.
     pub fn new(engine: &'a Engine, runtime: &'a mut Runtime) -> Self {
         QueryExecutor {
-            steps: StepEngine::new(engine, runtime),
+            engine,
+            runtime,
+            options: QueryOptions::default(),
+            policy: QueryTimePolicy::default(),
+            cache: QueryCache::new(),
         }
     }
 
     /// Overrides the executor options.
     pub fn with_options(mut self, options: QueryOptions) -> Self {
-        self.steps.options = options;
+        self.options = options;
         self
     }
 
     /// Overrides the query-time policy.
     pub fn with_policy(mut self, policy: QueryTimePolicy) -> Self {
-        self.steps.policy = policy;
+        self.policy = policy;
         self
     }
 
@@ -1553,6 +1713,16 @@ impl<'a> QueryExecutor<'a> {
         }
 
         // --- Walk the path on the shared step engine -----------------------
+        let mut walk = QueryWalk {
+            backend: LocalBackend {
+                engine: self.engine,
+                runtime: &mut *self.runtime,
+                run,
+            },
+            options: self.options,
+            policy: self.policy,
+            cache: CacheHandle::Shared(&mut self.cache),
+        };
         let (first_op, first_idx) = query.path[0];
         let first_record = run.record(first_op)?;
         let initial_shape = match query.direction {
@@ -1562,8 +1732,7 @@ impl<'a> QueryExecutor<'a> {
         let mut current = CellSet::from_coords(initial_shape, query.cells.iter().copied());
         let mut report = QueryReport::default();
         for &(op_id, input_idx) in &query.path {
-            let results = self.steps.step_many(
-                run,
+            let results = walk.step_many(
                 op_id,
                 input_idx,
                 query.direction,

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use subzero_engine::executor::{CaptureError, LineageCollector, OpExecution};
 use subzero_engine::{LineageMode, OpId, OperatorExt, RegionBatch, RegionPair, Workflow};
 use subzero_store::failpoint;
-use subzero_store::kv::{FileBackend, KvBackend, MemBackend};
+use subzero_store::kv::{sanitize_name, FileBackend, KvBackend, MemBackend};
 use subzero_store::wal::{recover_dir, RecoveryReport, WalRecord, WriteAheadLog};
 
 use crate::capture::{CaptureConfig, CaptureMode, CapturePipeline, OverflowPolicy, Shard};
@@ -697,23 +697,11 @@ impl Runtime {
         match &self.storage_dir {
             None => Box::new(MemBackend::new()),
             Some(dir) => {
-                let file = dir.join(format!("{}.kv", sanitize(name)));
+                let file = dir.join(format!("{}.kv", sanitize_name(name)));
                 Box::new(FileBackend::open(&file).expect("open lineage database file"))
             }
         }
     }
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 impl LineageCollector for Runtime {

@@ -389,8 +389,18 @@ fn flusher_panic_fails_queue_and_records_error() {
 fn parallel_map_preserves_order_under_every_schedule() {
     loom::model(|| {
         let items = [10u32, 20, 30];
-        let out = subzero::parallel::parallel_map_min(&items, 2, 2, |i, &v| v + i as u32);
-        assert_eq!(out, vec![10, 21, 32], "fan-out reordered results");
+        let chunks = subzero::parallel::parallel_chunks(&items, 2, 2, |start, slice| {
+            slice
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| v + (start + i) as u32)
+                .collect::<Vec<u32>>()
+        });
+        assert_eq!(
+            chunks.concat(),
+            vec![10, 21, 32],
+            "fan-out reordered results"
+        );
     });
 }
 

@@ -1,14 +1,22 @@
 //! The typed client: a thin request/response wrapper over the unix socket,
-//! plus [`RemoteSession`] — a client-side traversal composer that mirrors
-//! the in-process query engine edge for edge.
+//! plus [`RemoteSession`] — the in-process query walk run over a daemon
+//! session.
 //!
-//! [`RemoteSession::backward_many`]/[`forward_many`](RemoteSession::forward_many)
-//! derive the same DAG plan as `QuerySession`
-//! ([`subzero_engine::paths::backward_plan`] and its forward twin),
-//! seed the same per-query frontier, skip the same all-empty edges, issue
-//! one batched lookup per edge, and union results identically — which is
-//! what makes daemon answers byte-identical to a local `QuerySession` run
-//! over the same stored lineage.
+//! [`RemoteSession`] holds no traversal code of its own.  It runs
+//! [`subzero::query::QueryWalk`], the walk `QuerySession` runs, over a
+//! backend that answers stored steps with one wire `Lookup` per step.  The
+//! walk derives the same DAG plan, seeds the same frontier, skips the same
+//! all-empty edges and makes the same per-query choice, so daemon answers
+//! are byte-identical to a local `QuerySession` over the same lineage:
+//!
+//! * an operator the daemon stores (per the strategies the [`Client`]
+//!   recorded when it opened the session) answers from its stored lineage;
+//! * an operator it does not store answers through its mapping functions,
+//!   or the entire-array shortcut, both computed client-side from the
+//!   `Workflow`;
+//! * a step that would need re-execution fails with
+//!   [`QueryError::NeedsReexecution`], because the daemon holds no arrays
+//!   to re-run an operator on.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -17,11 +25,13 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use subzero::model::Direction;
-use subzero_array::{CellSet, Coord, Shape};
+use subzero::datastore::LookupOutcome;
+use subzero::model::{Direction, StorageStrategy};
+use subzero::query::{QueryBackend, QueryError, QuerySpec, QueryWalk};
+use subzero_array::{CellSet, Coord};
 use subzero_engine::lineage::RegionPair;
-use subzero_engine::paths::{backward_plan, forward_plan, ArrayNode, Edge};
-use subzero_engine::workflow::{InputSource, OpId, Workflow};
+use subzero_engine::paths::ArrayNode;
+use subzero_engine::workflow::{OpId, Workflow};
 use subzero_engine::OpMeta;
 
 use crate::protocol::{
@@ -38,9 +48,11 @@ pub enum ClientError {
     Protocol(ProtocolError),
     /// The daemon answered with an error response.
     Server(String),
-    /// The daemon answered with the wrong response kind, or the client-side
-    /// traversal plan could not be derived.
+    /// The daemon answered with the wrong response kind or outcome count.
     Unexpected(String),
+    /// A [`RemoteSession`] query failed client-side: its traversal could
+    /// not be derived, or a step needs re-execution.
+    Query(QueryError),
 }
 
 impl fmt::Display for ClientError {
@@ -50,6 +62,7 @@ impl fmt::Display for ClientError {
             ClientError::Protocol(e) => write!(f, "client protocol error: {e}"),
             ClientError::Server(m) => write!(f, "server error: {m}"),
             ClientError::Unexpected(m) => write!(f, "unexpected: {m}"),
+            ClientError::Query(e) => write!(f, "query error: {e}"),
         }
     }
 }
@@ -65,6 +78,12 @@ impl From<io::Error> for ClientError {
 impl From<ProtocolError> for ClientError {
     fn from(e: ProtocolError) -> Self {
         ClientError::Protocol(e)
+    }
+}
+
+impl From<QueryError> for ClientError {
+    fn from(e: QueryError) -> Self {
+        ClientError::Query(e)
     }
 }
 
@@ -213,6 +232,9 @@ pub struct Client {
     stream: UnixStream,
     socket_path: PathBuf,
     policy: RetryPolicy,
+    /// The storage strategies of every operator this client opened, per
+    /// session handle: what a [`RemoteSession`] over the handle may look up.
+    opened: HashMap<u64, HashMap<OpId, Vec<StorageStrategy>>>,
 }
 
 impl Client {
@@ -239,6 +261,7 @@ impl Client {
             stream,
             socket_path,
             policy,
+            opened: HashMap::new(),
         })
     }
 
@@ -276,11 +299,19 @@ impl Client {
     /// Opens (or reattaches to) the named session, registering its
     /// operators.  Returns the session handle.
     pub fn open_session(&mut self, name: &str, ops: Vec<OpSpec>) -> Result<u64, ClientError> {
+        let strategies: Vec<(OpId, Vec<StorageStrategy>)> = ops
+            .iter()
+            .map(|spec| (spec.op_id, spec.strategies.clone()))
+            .collect();
         match self.call(&Request::OpenSession {
             name: name.to_string(),
             ops,
         })? {
-            Response::SessionOpened { session } => Ok(session),
+            Response::SessionOpened { session } => {
+                // A reattach keeps the operators opened earlier.
+                self.opened.entry(session).or_default().extend(strategies);
+                Ok(session)
+            }
             other => Err(ClientError::Unexpected(format!(
                 "expected SessionOpened, got {other:?}"
             ))),
@@ -340,7 +371,10 @@ impl Client {
     /// Drops the session's in-memory state daemon-side.
     pub fn close_session(&mut self, session: u64) -> Result<(), ClientError> {
         match self.call(&Request::CloseSession { session })? {
-            Response::SessionClosed => Ok(()),
+            Response::SessionClosed => {
+                self.opened.remove(&session);
+                Ok(())
+            }
             other => Err(ClientError::Unexpected(format!(
                 "expected SessionClosed, got {other:?}"
             ))),
@@ -368,30 +402,92 @@ impl Client {
     }
 }
 
-/// The [`ArrayNode`] an operator input edge reads from (the same mapping
-/// the in-process query engine applies).
-fn array_node_of(src: &InputSource) -> ArrayNode {
-    match src {
-        InputSource::Operator(op) => ArrayNode::Output(*op),
-        InputSource::External(name) => ArrayNode::External(name.clone()),
-    }
-}
-
-/// Client-side multi-hop traversal over a daemon session.
-///
-/// Holds the workflow DAG and per-operator metadata (the daemon itself is
-/// operator-agnostic beyond shapes), derives plans locally, and issues one
-/// batched remote lookup per edge.
-pub struct RemoteSession<'a> {
+/// A [`RemoteSession`]'s backend: stored steps go to the daemon.
+struct DaemonBackend<'a> {
     client: &'a mut Client,
     session: u64,
     workflow: &'a Workflow,
     metas: HashMap<OpId, OpMeta>,
 }
 
+impl QueryBackend for DaemonBackend<'_> {
+    type Error = ClientError;
+
+    fn workflow(&self) -> &Workflow {
+        self.workflow
+    }
+
+    fn meta(&self, op: OpId) -> Result<&OpMeta, ClientError> {
+        self.metas
+            .get(&op)
+            .ok_or_else(|| QueryError::Spec(format!("no metadata for operator {op}")).into())
+    }
+
+    fn strategies(&self, op: OpId) -> &[StorageStrategy] {
+        self.client
+            .opened
+            .get(&self.session)
+            .and_then(|ops| ops.get(&op))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    fn stored_entries(&mut self, op: OpId) -> Option<usize> {
+        // The daemon reports no entry counts.  They only weigh stored
+        // lineage against re-execution, which never runs remotely.
+        (!self.strategies(op).is_empty()).then_some(0)
+    }
+
+    fn lookup_many(
+        &mut self,
+        op_id: OpId,
+        input_idx: usize,
+        direction: Direction,
+        queries: &[&CellSet],
+    ) -> Result<Vec<LookupOutcome>, ClientError> {
+        let step = LookupStep {
+            op_id,
+            direction,
+            input_idx: input_idx as u32,
+            queries: queries.iter().map(|&q| q.clone()).collect(),
+        };
+        let outcomes = self
+            .client
+            .lookup(self.session, vec![step])?
+            .pop()
+            .ok_or_else(|| ClientError::Unexpected("lookup returned no step results".into()))?;
+        if outcomes.len() != queries.len() {
+            return Err(ClientError::Unexpected(format!(
+                "lookup returned {} outcomes for {} queries",
+                outcomes.len(),
+                queries.len()
+            )));
+        }
+        Ok(outcomes
+            .into_iter()
+            .map(|o| LookupOutcome {
+                result: o.result,
+                covered: o.covered,
+                entries_fetched: o.entries_fetched as usize,
+                scanned: o.scanned,
+            })
+            .collect())
+    }
+}
+
+/// Multi-hop lineage queries over a daemon session.
+///
+/// Holds the workflow DAG and per-operator shapes (the daemon itself knows
+/// operators only by id and shape) and runs the in-process query walk with
+/// default [`QueryOptions`](subzero::query::QueryOptions): one batched wire
+/// lookup per stored step, mapping functions for the operators the daemon
+/// does not store.
+pub struct RemoteSession<'a> {
+    walk: QueryWalk<'static, DaemonBackend<'a>>,
+}
+
 impl<'a> RemoteSession<'a> {
-    /// Wraps an open session.  `metas` must cover every operator a
-    /// traversal can cross.
+    /// Wraps a session opened through `client`.  `metas` must cover every
+    /// operator a traversal can cross.
     pub fn new(
         client: &'a mut Client,
         session: u64,
@@ -399,10 +495,12 @@ impl<'a> RemoteSession<'a> {
         metas: impl IntoIterator<Item = (OpId, OpMeta)>,
     ) -> Self {
         RemoteSession {
-            client,
-            session,
-            workflow,
-            metas: metas.into_iter().collect(),
+            walk: QueryWalk::new(DaemonBackend {
+                client,
+                session,
+                workflow,
+                metas: metas.into_iter().collect(),
+            }),
         }
     }
 
@@ -414,15 +512,7 @@ impl<'a> RemoteSession<'a> {
         to: &ArrayNode,
         batches: &[Vec<Coord>],
     ) -> Result<Vec<CellSet>, ClientError> {
-        let plan = backward_plan(self.workflow, from, to)
-            .map_err(|e| ClientError::Unexpected(format!("no backward plan: {e:?}")))?;
-        self.run_edges(
-            Direction::Backward,
-            &plan.edges,
-            &ArrayNode::Output(from),
-            to,
-            batches,
-        )
+        self.run(&QuerySpec::backward(Vec::new(), from, to.clone()), batches)
     }
 
     /// Traces batches of cells of the array `from` forward to the output
@@ -433,113 +523,15 @@ impl<'a> RemoteSession<'a> {
         to: OpId,
         batches: &[Vec<Coord>],
     ) -> Result<Vec<CellSet>, ClientError> {
-        let plan = forward_plan(self.workflow, from, to)
-            .map_err(|e| ClientError::Unexpected(format!("no forward plan: {e:?}")))?;
-        self.run_edges(
-            Direction::Forward,
-            &plan.edges,
-            from,
-            &ArrayNode::Output(to),
-            batches,
-        )
+        self.run(&QuerySpec::forward(Vec::new(), from.clone(), to), batches)
     }
 
-    fn array_shape(&self, node: &ArrayNode) -> Result<Shape, ClientError> {
-        match node {
-            ArrayNode::Output(op) => self
-                .metas
-                .get(op)
-                .map(|m| m.output_shape)
-                .ok_or_else(|| ClientError::Unexpected(format!("no meta for op {op}"))),
-            ArrayNode::External(name) => {
-                for n in self.workflow.nodes() {
-                    for (idx, src) in n.inputs.iter().enumerate() {
-                        if matches!(src, InputSource::External(x) if x == name) {
-                            let meta = self.metas.get(&n.id).ok_or_else(|| {
-                                ClientError::Unexpected(format!("no meta for op {}", n.id))
-                            })?;
-                            return Ok(meta.input_shapes[idx]);
-                        }
-                    }
-                }
-                Err(ClientError::Unexpected(format!(
-                    "unknown external array {name:?}"
-                )))
-            }
-        }
-    }
-
-    /// The same frontier composition as the in-process engine: seed the
-    /// start array, cross each planned edge in order (skipping all-empty
-    /// intermediates without a round-trip), union into the target array,
-    /// and collect the destination.
-    fn run_edges(
+    fn run(
         &mut self,
-        direction: Direction,
-        edges: &[Edge],
-        from: &ArrayNode,
-        to: &ArrayNode,
+        spec: &QuerySpec,
         batches: &[Vec<Coord>],
     ) -> Result<Vec<CellSet>, ClientError> {
-        let nq = batches.len();
-        let from_shape = self.array_shape(from)?;
-        let mut frontier: HashMap<ArrayNode, Vec<CellSet>> = HashMap::new();
-        frontier.insert(
-            from.clone(),
-            batches
-                .iter()
-                .map(|cells| CellSet::from_coords(from_shape, cells.iter().copied()))
-                .collect(),
-        );
-        for &(op_id, input_idx) in edges {
-            let node = self
-                .workflow
-                .node(op_id)
-                .map_err(|e| ClientError::Unexpected(format!("bad plan edge: {e:?}")))?;
-            let Some(src) = node.inputs.get(input_idx) else {
-                return Err(ClientError::Unexpected(format!(
-                    "op {op_id} has no input {input_idx}"
-                )));
-            };
-            let side_array = array_node_of(src);
-            let (input_node, target_node) = match direction {
-                Direction::Backward => (ArrayNode::Output(op_id), side_array),
-                Direction::Forward => (side_array, ArrayNode::Output(op_id)),
-            };
-            let target_shape = self.array_shape(&target_node)?;
-            let queries: Option<Vec<CellSet>> = match frontier.get(&input_node) {
-                Some(inputs) if !inputs.iter().all(CellSet::is_empty) => Some(inputs.clone()),
-                _ => None,
-            };
-            let entry = frontier
-                .entry(target_node)
-                .or_insert_with(|| vec![CellSet::empty(target_shape); nq]);
-            let Some(queries) = queries else {
-                continue;
-            };
-            let step = LookupStep {
-                op_id,
-                direction,
-                input_idx: input_idx as u32,
-                queries,
-            };
-            let mut outcomes = self.client.lookup(self.session, vec![step])?;
-            let outcomes = outcomes
-                .pop()
-                .ok_or_else(|| ClientError::Unexpected("lookup returned no step results".into()))?;
-            if outcomes.len() != nq {
-                return Err(ClientError::Unexpected(format!(
-                    "lookup returned {} outcomes for {nq} queries",
-                    outcomes.len()
-                )));
-            }
-            for (acc, outcome) in entry.iter_mut().zip(&outcomes) {
-                acc.union_with(&outcome.result);
-            }
-        }
-        let to_shape = self.array_shape(to)?;
-        Ok(frontier
-            .remove(to)
-            .unwrap_or_else(|| vec![CellSet::empty(to_shape); nq]))
+        let results = self.walk.query_many(spec, batches)?;
+        Ok(results.into_iter().map(|r| r.cells).collect())
     }
 }

@@ -23,8 +23,11 @@
 //!   crash.
 //!
 //! Client side, [`Client`] speaks the protocol and [`client::RemoteSession`]
-//! composes multi-hop traversals exactly like the in-process query engine,
-//! so daemon answers are byte-identical to local ones.
+//! runs the in-process query walk ([`subzero::query::QueryWalk`]) over a
+//! daemon session: stored steps become wire lookups, operators the daemon
+//! does not store answer through their mapping functions, and a step that
+//! needs re-execution fails with a typed error.  Daemon answers are
+//! byte-identical to local ones.
 
 pub mod client;
 pub mod protocol;
@@ -36,4 +39,4 @@ pub use protocol::{
     LookupStep, OpSpec, ProtocolError, Request, Response, ServerStats, WireOutcome,
 };
 pub use server::{Server, ServerConfig, COMMIT_WAL};
-pub use shard::{sanitize_name, shard_of};
+pub use shard::shard_of;

@@ -137,8 +137,10 @@ pub struct OpSpec {
     /// Shape of the operator's output array.
     pub output_shape: Shape,
     /// One datastore is created per strategy.  Only pair-storing `Full`
-    /// strategies are accepted: payload/composite lookups need the
-    /// operator's mapping functions, which cannot travel over the wire.
+    /// strategies are accepted: payload and composite lookups need the
+    /// operator's mapping functions, which run client-side, so they wait
+    /// for lookups that return matched payload records (ROADMAP.md A.3
+    /// step 2).
     pub strategies: Vec<StorageStrategy>,
 }
 

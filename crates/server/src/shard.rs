@@ -31,7 +31,7 @@ use subzero_array::{Array, ArrayRef, CellSet, Shape};
 use subzero_engine::lineage::{LineageSink, RegionPair};
 use subzero_engine::workflow::OpId;
 use subzero_engine::{LineageMode, OpMeta, Operator};
-use subzero_store::kv::FileBackend;
+use subzero_store::kv::{sanitize_name, FileBackend};
 use subzero_store::wal::{WalFileLen, WalRecord, WriteAheadLog, WAL_FILE};
 
 use crate::protocol::{LookupStep, OpSpec, WireOutcome};
@@ -47,44 +47,6 @@ pub fn shard_of(op_id: OpId, n: usize) -> usize {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x % n.max(1) as u64) as usize
-}
-
-/// Maps a session name to the stable on-disk file prefix, mirroring the
-/// store layer's own character rules (which are private to it): every byte
-/// outside `[A-Za-z0-9_-]` becomes `_`.
-///
-/// Plain replacement alone would let distinct session names collide on one
-/// prefix (`"run.1"` and `"run_1"` both become `run_1`), handing two
-/// concurrently open sessions `FileBackend`s appending to the same `.kv`
-/// log and corrupting both.  So any name the replacement actually changed
-/// gets a hash of the *raw* name appended, keeping distinct names distinct
-/// on disk; names already made of clean characters keep their verbatim
-/// prefix, so existing on-disk layouts stay readable.  The mapping is a
-/// pure function of the name — a restarted daemon recovers the same files.
-pub fn sanitize_name(name: &str) -> String {
-    let mut changed = false;
-    let clean: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                changed = true;
-                '_'
-            }
-        })
-        .collect();
-    if !changed {
-        return clean;
-    }
-    // FNV-1a over the raw bytes; 64 bits is plenty to keep the handful of
-    // names a daemon hosts from colliding.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{clean}-{h:016x}")
 }
 
 /// Daemon-wide counters shared by shards and the coordinator.
@@ -726,21 +688,6 @@ mod tests {
         let spread: std::collections::HashSet<usize> =
             (0..32u32).map(|op| shard_of(op, 4)).collect();
         assert_eq!(spread.len(), 4);
-    }
-
-    #[test]
-    fn sanitize_keeps_clean_names_and_disambiguates_dirty_ones() {
-        // Already-clean names keep their verbatim prefix (on-disk layouts
-        // from before the hash suffix stay readable).
-        assert_eq!(sanitize_name("run-a_1"), "run-a_1");
-        // Dirty names get the store-layer character replacement plus a
-        // raw-name hash, and the mapping is deterministic.
-        let dirty = sanitize_name("a/b c.d");
-        assert!(dirty.starts_with("a_b_c_d-"), "{dirty}");
-        assert!(dirty
-            .bytes()
-            .all(|b| { b.is_ascii_alphanumeric() || b == b'-' || b == b'_' }));
-        assert_eq!(dirty, sanitize_name("a/b c.d"));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The parity test is the acceptance bar of the server subsystem: N
 //! concurrent UDS clients querying a daemon that ingested the exact region
 //! pairs the engine emits must answer byte-identically to an in-process
-//! [`QuerySession`] over the same workload.  The in-process reference runs
-//! with both query-time optimizations disabled so every step answers from
-//! the stored lineage — the only path the daemon implements.
+//! [`QuerySession`] over the same workload.  Both sides run the same query
+//! walk with default options: stored steps go to the daemon, operators it
+//! does not store answer through their mapping functions, and a step that
+//! needs re-execution fails remotely with a typed error.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -16,14 +17,14 @@ use std::time::{Duration, Instant};
 
 use subzero::capture::OverflowPolicy;
 use subzero::model::{Direction, LineageStrategy, StorageStrategy};
-use subzero::query::{QueryOptions, QuerySession};
+use subzero::query::{QueryError, QueryOptions, QuerySession, StepMethod};
 use subzero::runtime::Runtime;
 use subzero_array::{Array, ArrayRef, CellSet, Coord, Shape};
-use subzero_engine::lineage::{BufferSink, RegionPair};
+use subzero_engine::lineage::{BufferSink, LineageSink, RegionPair};
 use subzero_engine::ops::{BinaryKind, Convolve, Elementwise1, Elementwise2, UnaryKind};
 use subzero_engine::paths::ArrayNode;
 use subzero_engine::workflow::{InputSource, OpId, Workflow};
-use subzero_engine::{Engine, LineageMode, OpMeta};
+use subzero_engine::{Engine, LineageMode, OpMeta, Operator};
 use subzero_server::{
     Client, ClientError, LookupStep, OpSpec, RemoteSession, Server, ServerConfig,
 };
@@ -102,8 +103,8 @@ fn emitted_pairs(
     result
 }
 
-/// In-process reference answers over the same workload, all steps served
-/// from stored lineage (both query-time optimizations disabled).
+/// In-process reference answers over the same workload, with default query
+/// options.
 fn local_reference(
     rows: u32,
     cols: u32,
@@ -122,10 +123,8 @@ fn local_reference(
         .execute(&wf, &externals(rows, cols), &mut rt)
         .expect("parity workload executes");
     rt.flush_capture().expect("flush capture");
-    let mut session = QuerySession::new(&engine, &mut rt, &run).with_options(QueryOptions {
-        entire_array_optimization: false,
-        query_time_optimizer: false,
-    });
+    let mut session =
+        QuerySession::new(&engine, &mut rt, &run).with_options(QueryOptions::default());
     let to_img: Vec<CellSet> = session
         .backward_many(back_batches.to_vec())
         .from(2)
@@ -280,6 +279,192 @@ fn concurrent_remote_clients_match_in_process_query_session() {
         }
     }
 
+    server.shutdown_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Starts an in-memory daemon and ingests, through one client, the emitted
+/// pairs of every operator `specs` opens.  Returns the daemon, its directory,
+/// and the client with its finished session.
+fn serve(
+    tag: &str,
+    specs: Vec<OpSpec>,
+    per_op: &[(OpId, Vec<Shape>, Shape, Vec<RegionPair>)],
+) -> (Server, PathBuf, Client, u64) {
+    let dir = temp_dir(tag);
+    let socket = dir.join("daemon.sock");
+    let config = ServerConfig {
+        data_dir: None,
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(&socket, config).expect("server starts");
+    let mut client = Client::connect(&socket).expect("connect");
+    let opened: Vec<OpId> = specs.iter().map(|s| s.op_id).collect();
+    let session = client.open_session(tag, specs).expect("open session");
+    for (op, _, _, pairs) in per_op.iter().filter(|(op, ..)| opened.contains(op)) {
+        let ack = client.store_batch(session, *op, pairs.clone());
+        assert!(ack.expect("store batch").accepted);
+    }
+    client.finish_session(session).expect("finish");
+    (server, dir, client, session)
+}
+
+/// The per-operator shapes a [`RemoteSession`] needs.
+fn metas(per_op: &[(OpId, Vec<Shape>, Shape, Vec<RegionPair>)]) -> Vec<(OpId, OpMeta)> {
+    per_op
+        .iter()
+        .map(|(op, ins, out, _)| (*op, OpMeta::new(ins.clone(), *out)))
+        .collect()
+}
+
+#[test]
+fn operators_the_daemon_does_not_store_answer_through_mapping_functions() {
+    let (rows, cols) = (7, 6);
+    let wf = workflow();
+    let inputs = externals(rows, cols);
+    // The scale (op 0) is a mapping built-in that neither side stores.
+    let stored: [OpId; 2] = [1, 2];
+    let back = vec![
+        vec![Coord::d2(3, 3)],
+        vec![Coord::d2(0, 0), Coord::d2(6, 5)],
+    ];
+    let fwd = vec![
+        vec![Coord::d2(0, 1)],
+        vec![Coord::d2(5, 5), Coord::d2(1, 2)],
+    ];
+
+    let mut rt = Runtime::in_memory();
+    let mut strategy = LineageStrategy::new();
+    for op in stored {
+        strategy.set(op, strategies_for(op));
+    }
+    rt.set_strategy(strategy);
+    let mut engine = Engine::new();
+    let run = engine.execute(&wf, &inputs, &mut rt).expect("executes");
+    rt.flush_capture().expect("flush capture");
+    let mut session = QuerySession::new(&engine, &mut rt, &run);
+    let local_back = session
+        .backward_many(back.clone())
+        .from(2)
+        .to_source("img")
+        .expect("local backward");
+    let local_fwd = session
+        .forward_many(fwd.clone())
+        .from_source("img")
+        .to(2)
+        .expect("local forward");
+    assert!(
+        local_back[0]
+            .report
+            .steps
+            .iter()
+            .any(|s| s.op_id == 0 && s.method == StepMethod::Mapping),
+        "the reference must cross op 0 by mapping"
+    );
+
+    let per_op = emitted_pairs(&wf, &inputs);
+    let specs: Vec<OpSpec> = per_op
+        .iter()
+        .filter(|(op, ..)| stored.contains(op))
+        .map(|(op, ins, out, _)| OpSpec {
+            op_id: *op,
+            input_shapes: ins.clone(),
+            output_shape: *out,
+            strategies: strategies_for(*op),
+        })
+        .collect();
+    let (server, dir, mut client, session) = serve("unstored", specs, &per_op);
+    let mut remote = RemoteSession::new(&mut client, session, &wf, metas(&per_op));
+    let img = ArrayNode::External("img".into());
+    let remote_back = remote
+        .backward_many(2, &img, &back)
+        .expect("remote backward");
+    let remote_fwd = remote.forward_many(&img, 2, &fwd).expect("remote forward");
+    let cells = |results: Vec<subzero::query::QueryResult>| -> Vec<CellSet> {
+        results.into_iter().map(|r| r.cells).collect()
+    };
+    assert_eq!(remote_back, cells(local_back), "backward parity");
+    assert_eq!(remote_fwd, cells(local_fwd), "forward parity");
+
+    drop(client);
+    server.shutdown_and_wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A non-mapping operator (Full and Blackbox lineage only): without stored
+/// lineage, its steps can only be answered by re-running it.
+struct OpaqueBlur;
+
+impl Operator for OpaqueBlur {
+    fn name(&self) -> &str {
+        "opaque-blur"
+    }
+
+    fn output_shape(&self, input_shapes: &[Shape]) -> Shape {
+        input_shapes[0]
+    }
+
+    fn supported_modes(&self) -> Vec<LineageMode> {
+        vec![LineageMode::Full, LineageMode::Blackbox]
+    }
+
+    fn run(&self, inputs: &[ArrayRef], modes: &[LineageMode], sink: &mut dyn LineageSink) -> Array {
+        let input = &inputs[0];
+        if modes.contains(&LineageMode::Full) {
+            for (c, _) in input.iter() {
+                sink.lwrite(vec![c], vec![input.shape().neighborhood(&c, 1)]);
+            }
+        }
+        (**input).clone()
+    }
+}
+
+#[test]
+fn a_step_needing_reexecution_fails_remotely_with_a_typed_error() {
+    let mut b = Workflow::builder("server-reexec");
+    let scale = b.add_source(Arc::new(Elementwise1::new(UnaryKind::Scale(1.5))), "img");
+    let opaque = b.add_unary(Arc::new(OpaqueBlur), scale);
+    let wf = Arc::new(b.build().unwrap());
+    let inputs = externals(5, 5);
+    let query = vec![vec![Coord::d2(2, 2)]];
+
+    // In process, the opaque step re-executes.
+    let mut rt = Runtime::in_memory();
+    let mut engine = Engine::new();
+    let run = engine.execute(&wf, &inputs, &mut rt).expect("executes");
+    let local = QuerySession::new(&engine, &mut rt, &run)
+        .backward(query[0].clone())
+        .from(opaque)
+        .to_source("img")
+        .expect("local backward");
+    assert_eq!(local.report.reexecutions(), 1);
+
+    // The daemon stores the scale only; it cannot re-run the opaque op.
+    let per_op = emitted_pairs(&wf, &inputs);
+    let (_, ins, out, _) = &per_op[scale as usize];
+    let spec = OpSpec {
+        op_id: scale,
+        input_shapes: ins.clone(),
+        output_shape: *out,
+        strategies: vec![StorageStrategy::full_one()],
+    };
+    let (server, dir, mut client, session) = serve("reexec", vec![spec], &per_op);
+    let mut remote = RemoteSession::new(&mut client, session, &wf, metas(&per_op));
+    let img = ArrayNode::External("img".into());
+    let errors = [
+        remote.backward_many(opaque, &img, &query),
+        remote.forward_many(&img, opaque, &query),
+    ];
+    for err in errors {
+        let err = err.expect_err("the opaque step needs re-execution");
+        assert!(
+            matches!(err, ClientError::Query(QueryError::NeedsReexecution { op }) if op == opaque),
+            "{err}"
+        );
+    }
+
+    drop(client);
     server.shutdown_and_wait();
     let _ = std::fs::remove_dir_all(&dir);
 }

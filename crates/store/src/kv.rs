@@ -10,13 +10,10 @@
 //!   (rebuildable by scanning the log), giving the same "hash table on disk,
 //!   no transactional guarantees" durability stance as the prototype.
 //! * [`Database`] — one named store instance (≈ one BerkeleyDB database).
-//! * [`StoreManager`] — allocates a database per operator/strategy and tracks
-//!   aggregate storage statistics, which the benchmarks report as the "disk
-//!   cost" of a lineage strategy.
+//! * [`sanitize_name`] — the collision-free file-name stem of a store's log.
 
 use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -1336,141 +1333,41 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Aggregate statistics over every database owned by a [`StoreManager`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Number of databases allocated.
-    pub databases: usize,
-    /// Total live keys across databases.
-    pub entries: usize,
-    /// Total logical bytes across databases.
-    pub bytes: usize,
-}
-
-/// Allocates and owns one [`Database`] per operator/strategy instance.
+/// Maps a store name to the stable file-name stem of its `.kv` log: every
+/// character outside `[A-Za-z0-9_-]` becomes `_`.
 ///
-/// If constructed with [`StoreManager::on_disk`], databases persist to
-/// append-only files under the given directory; otherwise they live in
-/// memory.  Either way the interface is identical, so the lineage runtime
-/// does not care which mode the benchmark harness selects.
-pub struct StoreManager {
-    dir: Option<PathBuf>,
-    databases: HashMap<String, Database>,
-}
-
-impl StoreManager {
-    /// A manager whose databases live purely in memory.
-    pub fn in_memory() -> Self {
-        StoreManager {
-            dir: None,
-            databases: HashMap::new(),
-        }
-    }
-
-    /// A manager whose databases persist under `dir` (one file per database).
-    pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
-        StoreManager {
-            dir: Some(dir.into()),
-            databases: HashMap::new(),
-        }
-    }
-
-    /// Returns the database named `name`, creating it if needed.
-    pub fn database(&mut self, name: &str) -> &mut Database {
-        if !self.databases.contains_key(name) {
-            let backend: Box<dyn KvBackend> = match &self.dir {
-                None => Box::new(MemBackend::new()),
-                Some(dir) => {
-                    let file = dir.join(format!("{}.kv", sanitize_filename(name)));
-                    Box::new(FileBackend::open(&file).expect("open lineage database file"))
-                }
-            };
-            self.databases
-                .insert(name.to_string(), Database::new(name, backend));
-        }
-        self.databases
-            .get_mut(name)
-            .expect("database just inserted")
-    }
-
-    /// Returns the database named `name` if it already exists.
-    pub fn existing(&self, name: &str) -> Option<&Database> {
-        self.databases.get(name)
-    }
-
-    /// Returns a mutable reference to an existing database.
-    pub fn existing_mut(&mut self, name: &str) -> Option<&mut Database> {
-        self.databases.get_mut(name)
-    }
-
-    /// Whether a database named `name` has been created.
-    pub fn has(&self, name: &str) -> bool {
-        self.databases.contains_key(name)
-    }
-
-    /// Drops a database (its file, if any, is left on disk; callers that want
-    /// to reclaim the space can remove the directory).
-    pub fn drop_database(&mut self, name: &str) {
-        self.databases.remove(name);
-    }
-
-    /// Names of all allocated databases.
-    pub fn names(&self) -> Vec<&str> {
-        self.databases.keys().map(|s| s.as_str()).collect()
-    }
-
-    /// Aggregate statistics across every database.
-    pub fn stats(&self) -> StoreStats {
-        let mut s = StoreStats {
-            databases: self.databases.len(),
-            ..Default::default()
-        };
-        for db in self.databases.values() {
-            s.entries += db.len();
-            s.bytes += db.bytes_used();
-        }
-        s
-    }
-
-    /// Total logical bytes stored across databases.
-    pub fn total_bytes(&self) -> usize {
-        self.stats().bytes
-    }
-
-    /// Flushes every database.
-    pub fn flush_all(&mut self) -> io::Result<()> {
-        for db in self.databases.values_mut() {
-            db.flush()?;
-        }
-        Ok(())
-    }
-}
-
-impl Default for StoreManager {
-    fn default() -> Self {
-        Self::in_memory()
-    }
-}
-
-impl std::fmt::Debug for StoreManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreManager")
-            .field("dir", &self.dir)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-fn sanitize_filename(name: &str) -> String {
-    name.chars()
+/// Plain replacement alone would let distinct names collide on one stem
+/// (`"run.1"` and `"run_1"` both become `run_1`), handing two live stores
+/// `FileBackend`s appending to the same `.kv` log and corrupting both.  So
+/// any name the replacement actually changed gets a hash of the *raw* name
+/// appended, keeping distinct names distinct on disk; names already made of
+/// clean characters keep their verbatim stem, so existing on-disk layouts
+/// stay readable.  The mapping is a pure function of the name — a restarted
+/// process finds the same files.
+pub fn sanitize_name(name: &str) -> String {
+    let mut changed = false;
+    let clean: String = name
+        .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
                 c
             } else {
+                changed = true;
                 '_'
             }
         })
-        .collect()
+        .collect();
+    if !changed {
+        return clean;
+    }
+    // FNV-1a over the raw bytes; 64 bits is plenty to keep the handful of
+    // names one directory holds from colliding.
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in name.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("{clean}-{h:016x}")
 }
 
 #[cfg(test)]
@@ -2070,30 +1967,21 @@ mod tests {
     }
 
     #[test]
-    fn store_manager_allocates_per_name() {
-        let mut mgr = StoreManager::in_memory();
-        mgr.database("op1:full_one").put(b"x", b"1");
-        mgr.database("op2:pay_one").put(b"y", b"22");
-        assert!(mgr.has("op1:full_one"));
-        assert!(!mgr.has("op3"));
-        let stats = mgr.stats();
-        assert_eq!(stats.databases, 2);
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.bytes, 1 + 1 + 1 + 2);
-        assert_eq!(mgr.total_bytes(), stats.bytes);
-        mgr.drop_database("op1:full_one");
-        assert_eq!(mgr.stats().databases, 1);
-    }
-
-    #[test]
-    fn store_manager_on_disk_round_trip() {
-        let dir = std::env::temp_dir().join(format!("subzero-mgr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut mgr = StoreManager::on_disk(&dir);
-        mgr.database("op A/B").put(b"k", b"v");
-        mgr.flush_all().unwrap();
-        assert!(dir.join("op_A_B.kv").exists(), "sanitized filename used");
-        assert_eq!(mgr.database("op A/B").get(b"k").as_deref(), Some(&b"v"[..]));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn sanitize_keeps_clean_names_and_disambiguates_dirty_ones() {
+        // Already-clean names keep their verbatim stem (on-disk layouts
+        // from before the hash suffix stay readable).
+        assert_eq!(sanitize_name("run-a_1"), "run-a_1");
+        assert_eq!(
+            sanitize_name("run3_op7_full_one_bwd"),
+            "run3_op7_full_one_bwd"
+        );
+        // Dirty names get the character replacement plus a raw-name hash,
+        // and the mapping is deterministic.
+        let dirty = sanitize_name("a/b c.d");
+        assert!(dirty.starts_with("a_b_c_d-"), "{dirty}");
+        assert!(dirty
+            .bytes()
+            .all(|b| { b.is_ascii_alphanumeric() || b == b'-' || b == b'_' }));
+        assert_eq!(dirty, sanitize_name("a/b c.d"));
     }
 }
