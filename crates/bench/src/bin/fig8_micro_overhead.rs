@@ -3,12 +3,8 @@
 //! Sweeps the synthetic operator's fanin (x-axis) for fanout ∈ {1, 100} and
 //! reports, per strategy (←PayMany, ←PayOne, ←FullMany, ←FullOne, →FullOne,
 //! BlackBox), the lineage bytes stored and the capture overhead — the two
-//! panels of Figure 8.  Each configuration is executed twice, once through
-//! the batched ingestion pipeline (the default) and once through the legacy
-//! per-pair path, so the table also shows the capture speedup batching buys
-//! on this workload.  `--paper-scale` uses the full 1000×1000 array.
+//! panels of Figure 8.  `--paper-scale` uses the full 1000×1000 array.
 
-use subzero::IngestMode;
 use subzero_array::Shape;
 use subzero_bench::harness::run_benchmark;
 use subzero_bench::micro::{MicroConfig, MicroWorkflow};
@@ -27,15 +23,13 @@ fn main() {
     println!("Microbenchmark overhead (Figure 8) — array {shape}, 10% output coverage\n");
 
     let mut table = Table::new(
-        "Figure 8: lineage size and capture overhead (batched vs per-pair ingest)",
+        "Figure 8: lineage size and capture overhead",
         &[
             "fanout",
             "fanin",
             "strategy",
             "lineage(MB)",
             "capture(s)",
-            "perpair(s)",
-            "speedup",
             "pairs",
         ],
     );
@@ -51,28 +45,20 @@ fn main() {
             let micro = MicroWorkflow::build(config);
             let inputs = micro.inputs();
             for named in micro_strategies(&micro) {
-                let batched = run_benchmark(
+                let result = run_benchmark(
                     &named.name,
                     &micro.workflow,
                     &inputs,
-                    named.strategy.clone(),
+                    named.strategy,
                     true,
                     |_sz, _run| Vec::new(),
                 );
-                let per_pair = run_benchmark_per_pair(&micro, &inputs, named.strategy);
-                let speedup = if batched.workflow_runtime.as_secs_f64() > 0.0 {
-                    per_pair.as_secs_f64() / batched.workflow_runtime.as_secs_f64()
-                } else {
-                    0.0
-                };
                 table.row(vec![
                     fanout.to_string(),
                     fanin.to_string(),
-                    batched.strategy_name.clone(),
-                    mb(batched.lineage_bytes),
-                    secs(batched.workflow_runtime),
-                    secs(per_pair),
-                    format!("{speedup:.2}x"),
+                    result.strategy_name.clone(),
+                    mb(result.lineage_bytes),
+                    secs(result.workflow_runtime),
                     micro.pairs.len().to_string(),
                 ]);
             }
@@ -82,23 +68,4 @@ fn main() {
 
     println!("{}", table.render());
     println!("csv:\n{}", table.to_csv());
-}
-
-/// Executes the micro workflow with the legacy per-pair ingestion path and
-/// returns its workflow runtime (capture included).
-fn run_benchmark_per_pair(
-    micro: &MicroWorkflow,
-    inputs: &std::collections::HashMap<String, subzero_array::Array>,
-    strategy: subzero::model::LineageStrategy,
-) -> std::time::Duration {
-    let mut sz = subzero::SubZero::new();
-    sz.set_strategy(strategy);
-    sz.set_ingest_mode(IngestMode::PerPair);
-    sz.set_capture_batch_size(1);
-    let run = sz
-        .execute(&micro.workflow, inputs)
-        .expect("per-pair benchmark workflow execution failed");
-    // The per-pair path builds its index incrementally during capture, so
-    // this only flushes — included for symmetry with the batched side.
-    run.total_elapsed + sz.finish_capture(run.run_id)
 }

@@ -1,29 +1,34 @@
-//! Parity between the session API and the legacy explicit-path executor.
+//! Parity between a derived traversal and its paths, one edge at a time.
 //!
-//! A [`QuerySession`] derives its traversal from the workflow DAG and fans
-//! out over every path at DAG joins; the legacy [`LineageQuery`] pins one
-//! hand-assembled path.  Because every step distributes over unions of query
-//! cells, the session's answer must equal the *union* of the legacy answers
-//! over all enumerated paths between the same endpoints — on every workload
-//! and under every storage strategy.  This test asserts exactly that on the
-//! astronomy, genomics and micro benchmarks (and, for single-path queries,
-//! it degenerates to strict one-path equality with the legacy executor).
-
-#![allow(deprecated)] // the whole point is comparing against the shim
+//! A [`QuerySession`](subzero::QuerySession) derives its traversal from the
+//! workflow DAG and fans out over every path at DAG joins.  Because every
+//! step distributes over unions of query cells, its answer must equal the
+//! *union*, over every path between the same endpoints
+//! (`paths::{backward,forward}_paths`), of that path's answer — and a path's
+//! answer is built here by chaining one-edge session queries along it, each
+//! step's answer seeding the next.  A one-edge query is read from its
+//! cursor at the step that crosses exactly that edge, so the reference
+//! takes no union of its own inside the walk: when two slots of one step
+//! share a producer, the enumeration lists a path through each, and the
+//! union over paths is taken here.  This test asserts the equality on
+//! the astronomy, genomics and micro benchmarks under every storage
+//! strategy, for single-destination queries and for full-workflow traces
+//! (`to_sources`).
 
 use subzero::model::{LineageStrategy, StorageStrategy};
-use subzero::query::{LineageQuery, QueryOptions, QuerySpec};
+use subzero::query::{QueryOptions, QuerySession, QuerySpec};
 use subzero::{ArrayNode, Direction, SubZero};
-use subzero_array::CellSet;
+use subzero_array::{CellSet, Coord};
 use subzero_bench::astronomy::{AstronomyWorkflow, SkyConfig, SkyGenerator};
 use subzero_bench::genomics::{CohortConfig, CohortGenerator, GenomicsWorkflow};
 use subzero_bench::harness::NamedQuery;
 use subzero_bench::micro::{MicroConfig, MicroWorkflow};
 use subzero_engine::executor::WorkflowRun;
-use subzero_engine::paths;
+use subzero_engine::paths::{self, Edge};
+use subzero_engine::InputSource;
 
-/// Enumerates the legacy explicit paths for a spec's endpoints.
-fn legacy_paths(run: &WorkflowRun, spec: &QuerySpec) -> Vec<Vec<(u32, usize)>> {
+/// Every individual path between a spec's endpoints.
+fn spec_paths(run: &WorkflowRun, spec: &QuerySpec) -> Vec<Vec<Edge>> {
     let wf = &run.workflow;
     match spec.direction {
         Direction::Backward => {
@@ -41,46 +46,142 @@ fn legacy_paths(run: &WorkflowRun, spec: &QuerySpec) -> Vec<Vec<(u32, usize)>> {
     }
 }
 
-/// Session answer == union over legacy per-path answers, for every query.
+/// The answer of the one-edge session query across `(op, idx)`: a cursor
+/// from the array the edge starts on to the array across it, read at the
+/// step that crosses exactly that edge.  That step starts from the seed
+/// itself, so its cells are this edge's answer alone, even where the
+/// cursor's plan also takes a second slot or a longer route.
+fn one_edge_answer(
+    session: &mut QuerySession<'_>,
+    direction: Direction,
+    cells: Vec<Coord>,
+    (op, idx): Edge,
+    label: &str,
+) -> CellSet {
+    let side = session
+        .run()
+        .workflow
+        .node(op)
+        .expect("path operator")
+        .inputs[idx]
+        .clone();
+    let cursor = match (direction, side) {
+        (Direction::Backward, InputSource::Operator(p)) => {
+            session.backward(cells).from(op).cursor_to(p)
+        }
+        (Direction::Backward, InputSource::External(name)) => {
+            session.backward(cells).from(op).cursor_to_source(name)
+        }
+        (Direction::Forward, InputSource::Operator(p)) => {
+            session.forward(cells).from(p).cursor_to(op)
+        }
+        (Direction::Forward, InputSource::External(name)) => {
+            session.forward(cells).from_source(name).cursor_to(op)
+        }
+    };
+    let what = format!("{label}: one-edge query across ({op}, {idx})");
+    let mut cursor = cursor.unwrap_or_else(|e| panic!("{what} failed: {e}"));
+    while let Some(step) = cursor.next() {
+        let step = step.unwrap_or_else(|e| panic!("{what} failed: {e}"));
+        if (step.op_id, step.input_idx) == (op, idx) {
+            return step.cells;
+        }
+    }
+    // No step ran: the seed was empty, and so is the answer.
+    let answer = cursor
+        .finish()
+        .unwrap_or_else(|e| panic!("{what} failed: {e}"));
+    assert!(answer.cells.is_empty(), "{what} never crossed its edge");
+    answer.cells
+}
+
+/// One path's answer, chained from one-edge session queries: each step's
+/// answer seeds the next.
+fn chained_answer(
+    session: &mut QuerySession<'_>,
+    direction: Direction,
+    cells: &[Coord],
+    path: &[Edge],
+    label: &str,
+) -> CellSet {
+    let (first, rest) = path.split_first().expect("paths are non-empty");
+    let mut answer = one_edge_answer(session, direction, cells.to_vec(), *first, label);
+    for &edge in rest {
+        answer = one_edge_answer(session, direction, answer.to_coords(), edge, label);
+    }
+    answer
+}
+
+/// The union of the chained per-path answers.
+fn union_of_paths(
+    session: &mut QuerySession<'_>,
+    direction: Direction,
+    cells: &[Coord],
+    path_list: Vec<Vec<Edge>>,
+    label: &str,
+) -> CellSet {
+    assert!(!path_list.is_empty(), "{label}: no paths");
+    let mut union: Option<CellSet> = None;
+    for path in path_list {
+        let answer = chained_answer(session, direction, cells, &path, label);
+        match &mut union {
+            None => union = Some(answer),
+            Some(u) => u.union_with(&answer),
+        }
+    }
+    union.expect("at least one path")
+}
+
+/// Session answer == union over chained per-path answers, for every query;
+/// for backward queries also every answer of the full-workflow trace.
 fn assert_parity(sz: &mut SubZero, run: &WorkflowRun, queries: &[NamedQuery], label: &str) {
     for nq in queries {
+        let label = format!("{label} '{}'", nq.name);
         sz.set_query_options(QueryOptions {
             entire_array_optimization: !nq.disable_entire_array,
             query_time_optimizer: true,
         });
-        let session_answer = sz
-            .session(run)
-            .query(&nq.spec)
-            .unwrap_or_else(|e| panic!("{label}: session query '{}' failed: {e}", nq.name));
-
-        let path_list = legacy_paths(run, &nq.spec);
-        assert!(
-            !path_list.is_empty(),
-            "{label}: no legacy paths for '{}'",
-            nq.name
+        let mut session = sz.session(run);
+        let spec = &nq.spec;
+        let answer = session
+            .query(spec)
+            .unwrap_or_else(|e| panic!("{label}: session query failed: {e}"));
+        let union = union_of_paths(
+            &mut session,
+            spec.direction,
+            &spec.cells,
+            spec_paths(run, spec),
+            &label,
         );
-        let mut union: Option<CellSet> = None;
-        for path in path_list {
-            let legacy = LineageQuery {
-                cells: nq.spec.cells.clone(),
-                path,
-                direction: nq.spec.direction,
-            };
-            let answer = sz
-                .query(run, &legacy)
-                .unwrap_or_else(|e| panic!("{label}: legacy query '{}' failed: {e}", nq.name));
-            match &mut union {
-                None => union = Some(answer.cells),
-                Some(u) => u.union_with(&answer.cells),
-            }
-        }
         assert_eq!(
-            session_answer.cells,
-            union.expect("at least one path"),
-            "{label}: session answer for '{}' differs from the union of \
-             legacy per-path answers",
-            nq.name
+            answer.cells, union,
+            "{label}: session answer differs from the union of per-path answers"
         );
+
+        let (Direction::Backward, ArrayNode::Output(from)) = (spec.direction, &spec.from) else {
+            continue;
+        };
+        let traced = session
+            .backward(spec.cells.clone())
+            .from(*from)
+            .to_sources()
+            .unwrap_or_else(|e| panic!("{label}: full-workflow trace failed: {e}"));
+        for (source, result) in traced {
+            let to = ArrayNode::external(source.clone());
+            let path_list = paths::backward_paths(&run.workflow, *from, &to).expect("paths");
+            let union = union_of_paths(
+                &mut session,
+                Direction::Backward,
+                &spec.cells,
+                path_list,
+                &label,
+            );
+            assert_eq!(
+                result.cells, union,
+                "{label}: traced answer on '{source}' differs from the union of \
+                 per-path answers"
+            );
+        }
     }
 }
 
@@ -137,8 +238,8 @@ fn genomics_session_matches_legacy_path_unions() {
 #[test]
 fn micro_session_matches_legacy_single_path() {
     // The micro workflow has a single operator, so the parity degenerates to
-    // strict equality with the one legacy path — across every strategy the
-    // figure binaries sweep, including payload encodings.
+    // strict equality with the one one-edge query — across every strategy
+    // the figure binaries sweep, including payload encodings.
     let micro = MicroWorkflow::build(MicroConfig::tiny());
     let strategies = vec![
         ("blackbox", LineageStrategy::new()),

@@ -53,9 +53,7 @@ pub enum CaptureMode {
     #[default]
     Sync,
     /// Hand completed batches to the bounded capture queue and return;
-    /// background flusher threads encode and store them.  Requires batched
-    /// ingestion ([`IngestMode::Batched`](crate::runtime::IngestMode)); the
-    /// per-pair reference path always stores synchronously.
+    /// background flusher threads encode and store them.
     Async,
 }
 

@@ -337,9 +337,10 @@ fn cache_shards<C: Default>(pool: &mut Vec<C>, workers: usize, queries: usize) -
 /// [`write_group`](Database::write_group), and *stages* spatial-index
 /// entries instead of inserting
 /// them one by one — the R-tree is bulk-loaded (STR-packed) lazily before the
-/// first lookup.  The per-pair [`store_pair`](OpDatastore::store_pair) path
-/// is kept as the reference implementation; both paths produce byte-identical
-/// datastore contents.
+/// first lookup.  [`store_pair`](OpDatastore::store_pair) writes one pair at a
+/// time through the allocating encoders; the capture runtime never calls it.
+/// It is the independent byte reference that the parity tests compare
+/// `store_batch` against: both produce byte-identical datastore contents.
 pub struct OpDatastore {
     strategy: StorageStrategy,
     out_shape: Shape,
@@ -474,8 +475,8 @@ impl OpDatastore {
     }
 
     /// A sorted copy of every `(key, value)` pair in the hash database.
-    /// Used by tests to assert that the batched and per-pair ingestion paths
-    /// produce byte-identical contents.
+    /// Used by tests to assert that `store_batch` and the `store_pair`
+    /// reference produce byte-identical contents.
     pub fn snapshot(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = self.db.iter().collect();
         pairs.sort();
@@ -483,6 +484,14 @@ impl OpDatastore {
     }
 
     /// Stores one region pair according to the strategy.
+    ///
+    /// The byte reference for [`store_batch`](OpDatastore::store_batch):
+    /// every write goes through the allocating encoders
+    /// ([`encode_full_entry`](encoder::encode_full_entry),
+    /// [`encode_pay_entry`](encoder::encode_pay_entry)) and one
+    /// `put`/`merge` per record, with none of the batch path's arena,
+    /// interning or group writes.  Capture never calls it; the parity tests
+    /// replay captured pairs through it and compare the results.
     ///
     /// Pairs whose kind does not match the strategy's mode (e.g. a payload
     /// pair arriving for a `Full` strategy) are ignored: operators may emit
@@ -629,8 +638,9 @@ impl OpDatastore {
 
     /// Stores a whole batch of region pairs according to the strategy.
     ///
-    /// Equivalent to calling [`store_pair`](OpDatastore::store_pair) on every
-    /// pair in order — the stored contents are byte-identical — but the work
+    /// Equivalent to calling the [`store_pair`](OpDatastore::store_pair)
+    /// reference on every pair in order — the stored contents are
+    /// byte-identical, which the parity tests check — but the work
     /// is organised batch-at-a-time around a per-batch encode arena:
     ///
     /// * each worker thread serialises its contiguous shard of the batch

@@ -253,7 +253,10 @@ pub struct FullEntry {
 /// Encodes a full entry body.
 ///
 /// `include_outcells` selects between the `FullOne` layout (input cells only)
-/// and the `FullMany` layout (both sides).
+/// and the `FullMany` layout (both sides).  The allocating form is what
+/// [`OpDatastore::store_pair`](crate::datastore::OpDatastore::store_pair)
+/// writes, so it stays as the byte reference for the batch path's
+/// [`encode_full_entry_into`].
 pub fn encode_full_entry(
     out_shape: &Shape,
     in_shapes: &[Shape],
@@ -400,7 +403,8 @@ pub struct PayEntry {
 }
 
 /// Encodes a payload entry body (the `PayMany` layout: output cells followed
-/// by the payload).
+/// by the payload).  Like [`encode_full_entry`], kept as the byte reference
+/// that `store_pair` writes and the batch path is compared against.
 pub fn encode_pay_entry(out_shape: &Shape, outcells: &[Coord], payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_pay_entry_into(&mut buf, out_shape, outcells, payload);

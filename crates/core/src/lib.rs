@@ -39,9 +39,6 @@
 //!   input)` step vectors), multi-path fan-out at DAG joins, multi-query
 //!   batching, streaming [`LineageCursor`]s, the
 //!   entire-array optimization, and the query-time fallback to re-execution.
-//!   The legacy [`LineageQuery`] +
-//!   [`QueryExecutor`] explicit-path surface remains as
-//!   a validated shim over the same step engine.
 //! * [`reexec`] — turning traced region pairs (from black-box re-execution)
 //!   into query answers.
 //! * [`system`] — the [`SubZero`] façade: execute workflows
@@ -89,16 +86,6 @@
 //!     .unwrap();
 //! assert_eq!(result.cells.to_coords(), vec![Coord::d2(0, 1)]);
 //! ```
-//!
-//! ## Migrating from `LineageQuery`
-//!
-//! `LineageQuery::backward(cells, vec![(thresh, 0), (scale, 0)])` becomes
-//! `session.backward(cells).from(thresh).to_source("img")` — name the two
-//! endpoint arrays and the session derives the steps (unioning over every
-//! DAG path between them).  The old type still works as a deprecated shim
-//! for pinning one exact path, now validated against the DAG
-//! ([`QueryError::InvalidPath`] instead of
-//! silently-wrong answers), and a parity test holds the two surfaces equal.
 
 pub mod capture;
 pub mod datastore;
@@ -115,10 +102,10 @@ pub use capture::{BoundedQueue, CaptureConfig, CaptureMode, OverflowPolicy};
 pub use datastore::OpDatastore;
 pub use model::{Direction, Granularity, LineageStrategy, StorageStrategy, StrategyError};
 pub use query::{
-    LineageCursor, LineageQuery, QueryCache, QueryCacheStats, QueryError, QueryExecutor,
-    QueryReport, QueryResult, QuerySession, QuerySpec, StepMethod,
+    LineageCursor, QueryCache, QueryCacheStats, QueryError, QueryReport, QueryResult, QuerySession,
+    QuerySpec, StepMethod,
 };
-pub use runtime::{CaptureStats, IngestMode, OperatorLineageStats, Runtime};
+pub use runtime::{CaptureStats, OperatorLineageStats, Runtime};
 pub use subzero_engine::paths::ArrayNode;
 pub use system::SubZero;
 
@@ -126,7 +113,7 @@ pub use system::SubZero;
 pub mod prelude {
     pub use crate::capture::{CaptureConfig, CaptureMode, OverflowPolicy};
     pub use crate::model::{Direction, Granularity, LineageStrategy, StorageStrategy};
-    pub use crate::query::{LineageCursor, LineageQuery, QueryResult, QuerySession, QuerySpec};
+    pub use crate::query::{LineageCursor, QueryResult, QuerySession, QuerySpec};
     pub use crate::system::SubZero;
     pub use subzero_array::{Array, CellSet, Coord, Shape};
     pub use subzero_engine::paths::ArrayNode;

@@ -32,15 +32,9 @@
 //!
 //! All of this is one [`QueryWalk`], generic over the [`QueryBackend`] that
 //! supplies stored lookups: the runtime's datastores for a session, a daemon
-//! session for `subzero_server::RemoteSession`.
-//!
-//! The legacy [`LineageQuery`] + [`QueryExecutor`] surface — explicit
-//! hand-assembled step vectors — remains as a thin shim over the same
-//! walk, for parity testing and for callers that need to pin one exact
-//! path.  Hand-built paths are validated against the DAG: a path that skips
-//! an operator or crosses the wrong input slot fails with
-//! [`QueryError::InvalidPath`] naming the offending edge instead of
-//! returning a silently-empty answer.
+//! session for `subzero_server::RemoteSession`.  There is no second entry
+//! point: every traversal is derived from the DAG, so a query cannot skip an
+//! operator or cross the wrong input slot.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -63,8 +57,6 @@ use crate::runtime::Runtime;
 /// Errors produced while executing a lineage query.
 #[derive(Debug)]
 pub enum QueryError {
-    /// The (legacy) query path was empty.
-    EmptyPath,
     /// A session query was finished without naming its origin array.
     MissingOrigin,
     /// A path step referenced an input index the operator does not have.
@@ -73,19 +65,6 @@ pub enum QueryError {
         op: OpId,
         /// The requested input index.
         input_idx: usize,
-    },
-    /// A hand-assembled path is inconsistent with the workflow DAG: the
-    /// named edge does not connect its step to the neighbouring step's
-    /// operator (the path skips an operator, or crosses the wrong slot).
-    InvalidPath {
-        /// The offending step (0-based index into the path).
-        step: usize,
-        /// The operator whose input edge is crossed at that step.
-        op: OpId,
-        /// The input slot the path crosses.
-        input_idx: usize,
-        /// What the edge actually connects to.
-        detail: String,
     },
     /// The traversal could not be derived from the workflow DAG.
     Path(PathError),
@@ -106,7 +85,6 @@ pub enum QueryError {
 impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            QueryError::EmptyPath => write!(f, "lineage query path is empty"),
             QueryError::MissingOrigin => write!(
                 f,
                 "query origin not set: call .from(op) / .from_source(name) before finishing"
@@ -114,15 +92,6 @@ impl fmt::Display for QueryError {
             QueryError::BadInputIndex { op, input_idx } => {
                 write!(f, "operator {op} has no input {input_idx}")
             }
-            QueryError::InvalidPath {
-                step,
-                op,
-                input_idx,
-                detail,
-            } => write!(
-                f,
-                "query path invalid at step {step} (operator {op}, input {input_idx}): {detail}"
-            ),
             QueryError::Path(e) => write!(f, "cannot derive query path: {e}"),
             QueryError::Spec(s) => write!(f, "malformed query: {s}"),
             QueryError::Engine(e) => write!(f, "engine error: {e}"),
@@ -146,57 +115,6 @@ impl From<EngineError> for QueryError {
 impl From<PathError> for QueryError {
     fn from(e: PathError) -> Self {
         QueryError::Path(e)
-    }
-}
-
-/// A lineage query in the legacy format: a set of starting cells and a
-/// hand-assembled path of `(operator, input index)` steps.
-///
-/// Superseded by [`QuerySession`], which derives the path from the workflow
-/// DAG; this remains as a parity shim and for callers that must pin one
-/// exact path (both run on the same step engine and return identical
-/// answers along a given path).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LineageQuery {
-    /// The starting cells (output cells of the first path operator for a
-    /// backward query; cells of its `input index`'th input for a forward
-    /// query).
-    pub cells: Vec<Coord>,
-    /// The path of `(operator, input index)` steps, ordered from the query's
-    /// starting operator toward its destination.
-    pub path: Vec<(OpId, usize)>,
-    /// Whether the path walks backward (toward inputs) or forward (toward
-    /// outputs).
-    pub direction: Direction,
-}
-
-impl LineageQuery {
-    /// A backward query: trace `cells` (output cells of `path[0].0`) back
-    /// through the path toward the workflow inputs.
-    #[deprecated(
-        note = "hand-assembled (OpId, slot) paths are superseded by QuerySession's \
-                DAG-derived traversals; kept as a parity shim"
-    )]
-    pub fn backward(cells: Vec<Coord>, path: Vec<(OpId, usize)>) -> Self {
-        LineageQuery {
-            cells,
-            path,
-            direction: Direction::Backward,
-        }
-    }
-
-    /// A forward query: trace `cells` (cells of input `path[0].1` of
-    /// `path[0].0`) forward through the path toward the workflow outputs.
-    #[deprecated(
-        note = "hand-assembled (OpId, slot) paths are superseded by QuerySession's \
-                DAG-derived traversals; kept as a parity shim"
-    )]
-    pub fn forward(cells: Vec<Coord>, path: Vec<(OpId, usize)>) -> Self {
-        LineageQuery {
-            cells,
-            path,
-            direction: Direction::Forward,
-        }
     }
 }
 
@@ -1620,138 +1538,7 @@ impl<'s, 'a> LineageCursor<'s, 'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy explicit-path executor (parity shim).
-// ---------------------------------------------------------------------------
-
-/// Executes legacy explicit-path [`LineageQuery`]s against one engine +
-/// runtime pair.  Runs on the same step engine as [`QuerySession`]; prefer
-/// the session API, which derives paths from the DAG and batches queries.
-pub struct QueryExecutor<'a> {
-    engine: &'a Engine,
-    runtime: &'a mut Runtime,
-    options: QueryOptions,
-    policy: QueryTimePolicy,
-    cache: QueryCache,
-}
-
-impl<'a> QueryExecutor<'a> {
-    /// Creates an executor with default options.
-    pub fn new(engine: &'a Engine, runtime: &'a mut Runtime) -> Self {
-        QueryExecutor {
-            engine,
-            runtime,
-            options: QueryOptions::default(),
-            policy: QueryTimePolicy::default(),
-            cache: QueryCache::new(),
-        }
-    }
-
-    /// Overrides the executor options.
-    pub fn with_options(mut self, options: QueryOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Overrides the query-time policy.
-    pub fn with_policy(mut self, policy: QueryTimePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Executes a lineage query against a previously executed workflow run.
-    ///
-    /// The path is validated against the workflow DAG before anything runs:
-    /// a step whose input index is out of range fails with
-    /// [`QueryError::BadInputIndex`], and consecutive steps that are not
-    /// connected by the named edge (a skipped operator, or the wrong slot)
-    /// fail with [`QueryError::InvalidPath`] naming the offending edge.
-    pub fn execute(
-        &mut self,
-        run: &WorkflowRun,
-        query: &LineageQuery,
-    ) -> Result<QueryResult, QueryError> {
-        if query.path.is_empty() {
-            return Err(QueryError::EmptyPath);
-        }
-        let start = Instant::now();
-
-        // --- Structural validation against the DAG -------------------------
-        for &(op_id, input_idx) in &query.path {
-            let record = run.record(op_id)?;
-            if input_idx >= record.meta.input_shapes.len() {
-                return Err(QueryError::BadInputIndex {
-                    op: op_id,
-                    input_idx,
-                });
-            }
-        }
-        for k in 0..query.path.len() - 1 {
-            // The edge crossed between step k and step k+1: for a backward
-            // path, step k's edge must be fed by step k+1's operator; for a
-            // forward path, step k+1's edge must be fed by step k's operator.
-            let ((edge_op, edge_idx), produced_by, step) = match query.direction {
-                Direction::Backward => (query.path[k], query.path[k + 1].0, k),
-                Direction::Forward => (query.path[k + 1], query.path[k].0, k + 1),
-            };
-            let node = run.workflow.node(edge_op).map_err(EngineError::Workflow)?;
-            let src = &node.inputs[edge_idx];
-            let connected = matches!(src, InputSource::Operator(p) if *p == produced_by);
-            if !connected {
-                return Err(QueryError::InvalidPath {
-                    step,
-                    op: edge_op,
-                    input_idx: edge_idx,
-                    detail: format!(
-                        "input {edge_idx} of operator {edge_op} is fed by {}, not by \
-                         operator {produced_by}; the path skips an operator or \
-                         crosses the wrong slot",
-                        array_node_of(src)
-                    ),
-                });
-            }
-        }
-
-        // --- Walk the path on the shared step engine -----------------------
-        let mut walk = QueryWalk {
-            backend: LocalBackend {
-                engine: self.engine,
-                runtime: &mut *self.runtime,
-                run,
-            },
-            options: self.options,
-            policy: self.policy,
-            cache: CacheHandle::Shared(&mut self.cache),
-        };
-        let (first_op, first_idx) = query.path[0];
-        let first_record = run.record(first_op)?;
-        let initial_shape = match query.direction {
-            Direction::Backward => first_record.meta.output_shape,
-            Direction::Forward => first_record.meta.input_shapes[first_idx],
-        };
-        let mut current = CellSet::from_coords(initial_shape, query.cells.iter().copied());
-        let mut report = QueryReport::default();
-        for &(op_id, input_idx) in &query.path {
-            let results = walk.step_many(
-                op_id,
-                input_idx,
-                query.direction,
-                std::slice::from_ref(&current),
-            )?;
-            let (cells, step_report) = results.into_iter().next().expect("one result");
-            current = cells;
-            report.steps.push(step_report);
-        }
-        report.total_elapsed = start.elapsed();
-        Ok(QueryResult {
-            cells: current,
-            report,
-        })
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::model::{LineageStrategy, StorageStrategy};
@@ -1787,14 +1574,45 @@ mod tests {
         (engine, rt, run)
     }
 
+    /// Answers one explicit path by chaining one-edge session queries: each
+    /// step is a cursor from the array it starts on to the array across its
+    /// edge, read at the step that crosses exactly that edge, and its answer
+    /// seeds the next step.
+    fn chained_answer(
+        session: &mut QuerySession<'_>,
+        direction: Direction,
+        mut cells: Vec<Coord>,
+        path: &[Edge],
+    ) -> CellSet {
+        let mut answer = None;
+        for &(op, idx) in path {
+            let side = array_node_of(&session.run().workflow.node(op).unwrap().inputs[idx]);
+            let (from, to) = match direction {
+                Direction::Backward => (ArrayNode::Output(op), side),
+                Direction::Forward => (side, ArrayNode::Output(op)),
+            };
+            let mut cursor = LineageCursor::new(session, direction, from, to, vec![cells]).unwrap();
+            let step = std::iter::from_fn(|| cursor.next())
+                .map(Result::unwrap)
+                .find(|step| (step.op_id, step.input_idx) == (op, idx))
+                .expect("the one-edge query crosses its edge");
+            cells = step.cells.to_coords();
+            answer = Some(step.cells);
+        }
+        answer.expect("a non-empty path")
+    }
+
     #[test]
     fn backward_query_through_mapping_operators() {
         let (engine, mut rt, run) = run_pipeline(LineageStrategy::new());
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
+        let mut session = QuerySession::new(&engine, &mut rt, &run);
         // Trace one cell of the convolve output back through convolve and
         // scale: radius-1 neighbourhood, then identity.
-        let q = LineageQuery::backward(vec![Coord::d2(3, 3)], vec![(1, 0), (0, 0)]);
-        let result = exec.execute(&run, &q).unwrap();
+        let result = session
+            .backward(vec![Coord::d2(3, 3)])
+            .from(1)
+            .to_source("img")
+            .unwrap();
         assert_eq!(result.cells.len(), 9);
         assert!(result.cells.contains(&Coord::d2(2, 2)));
         assert_eq!(result.report.steps.len(), 2);
@@ -1967,9 +1785,10 @@ mod tests {
 
     #[test]
     fn diamond_inference_equals_union_of_per_path_answers() {
-        // Satellite: on a join + fan-out workflow the inferred multi-path
-        // answer must equal the union of hand-built per-path answers, for
-        // both the mapping-function strategy and stored lineage.
+        // On a join + fan-out workflow the inferred multi-path answer must
+        // equal the union of per-path answers (each chained from one-edge
+        // queries), for both the mapping-function strategy and stored
+        // lineage.
         let (wf, inputs) = diamond();
         let strategies = vec![
             ("mapping", LineageStrategy::new()),
@@ -1985,42 +1804,33 @@ mod tests {
             let run = engine.execute(&wf, &inputs, &mut rt).unwrap();
             let cells = vec![Coord::d2(2, 2), Coord::d2(3, 4)];
 
-            // Hand-built per-path answers through each branch of the join.
-            let mut exec = QueryExecutor::new(&engine, &mut rt);
-            let via_blur = exec
-                .execute(
-                    &run,
-                    &LineageQuery::backward(cells.clone(), vec![(3, 0), (1, 0), (0, 0)]),
-                )
-                .unwrap();
-            let via_ident = exec
-                .execute(
-                    &run,
-                    &LineageQuery::backward(cells.clone(), vec![(3, 1), (2, 0), (0, 0)]),
-                )
-                .unwrap();
-            let mut union = via_blur.cells.clone();
-            union.union_with(&via_ident.cells);
+            // Per-path answers through each branch of the join.
+            let mut session = QuerySession::new(&engine, &mut rt, &run);
+            let back = Direction::Backward;
+            let via_blur =
+                chained_answer(&mut session, back, cells.clone(), &[(3, 0), (1, 0), (0, 0)]);
+            let via_ident =
+                chained_answer(&mut session, back, cells.clone(), &[(3, 1), (2, 0), (0, 0)]);
+            assert_ne!(via_blur, via_ident, "the branches differ ({label})");
+            let mut union = via_blur;
+            union.union_with(&via_ident);
 
             // Forward per-path answers: fan-out then join.
             let fwd_cells = vec![Coord::d2(2, 2)];
-            let fwd_blur = exec
-                .execute(
-                    &run,
-                    &LineageQuery::forward(fwd_cells.clone(), vec![(0, 0), (1, 0), (3, 0)]),
-                )
-                .unwrap();
-            let fwd_ident = exec
-                .execute(
-                    &run,
-                    &LineageQuery::forward(fwd_cells.clone(), vec![(0, 0), (2, 0), (3, 1)]),
-                )
-                .unwrap();
-            let mut fwd_union = fwd_blur.cells.clone();
-            fwd_union.union_with(&fwd_ident.cells);
-            drop(exec);
+            let fwd = Direction::Forward;
+            let mut fwd_union = chained_answer(
+                &mut session,
+                fwd,
+                fwd_cells.clone(),
+                &[(0, 0), (1, 0), (3, 0)],
+            );
+            fwd_union.union_with(&chained_answer(
+                &mut session,
+                fwd,
+                fwd_cells.clone(),
+                &[(0, 0), (2, 0), (3, 1)],
+            ));
 
-            let mut session = QuerySession::new(&engine, &mut rt, &run);
             let inferred = session
                 .backward(cells.clone())
                 .from(3)
@@ -2058,11 +1868,14 @@ mod tests {
     #[test]
     fn forward_query_through_mapping_operators() {
         let (engine, mut rt, run) = run_pipeline(LineageStrategy::new());
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
+        let mut session = QuerySession::new(&engine, &mut rt, &run);
         // A corner input pixel influences its 4-cell neighbourhood after the
         // convolve, and the single mean cell at the end.
-        let q = LineageQuery::forward(vec![Coord::d2(0, 0)], vec![(0, 0), (1, 0), (2, 0)]);
-        let result = exec.execute(&run, &q).unwrap();
+        let result = session
+            .forward(vec![Coord::d2(0, 0)])
+            .from_source("img")
+            .to(2)
+            .unwrap();
         assert_eq!(result.cells.to_coords(), vec![Coord::d2(0, 0)]);
         assert_eq!(result.report.steps.len(), 3);
     }
@@ -2073,22 +1886,29 @@ mod tests {
         // Backward from the global mean: its lineage is the whole convolve
         // output, so the step is answered by the entire-array optimization
         // and the remaining steps saturate.
-        let q = LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(2, 0), (1, 0), (0, 0)]);
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
-        let result = exec.execute(&run, &q).unwrap();
+        let mut session = QuerySession::new(&engine, &mut rt, &run);
+        let spec = QuerySpec::backward_to_source(vec![Coord::d2(0, 0)], 2, "img");
+        let result = session.query(&spec).unwrap();
         assert!(result.cells.is_full());
         // The first step (global mean) saturates via mapping or entire-array;
         // with a full intermediate the later all-to-all steps do not apply
         // (convolve is not all-to-all) but mapping still saturates them.
         assert_eq!(result.report.steps.len(), 3);
 
+        assert_eq!(result.report.steps[0].method, StepMethod::EntireArray);
+
         // With the optimization disabled the answer is identical, just slower.
-        let mut exec = QueryExecutor::new(&engine, &mut rt).with_options(QueryOptions {
+        session.set_options(QueryOptions {
             entire_array_optimization: false,
             query_time_optimizer: true,
         });
-        let result2 = exec.execute(&run, &q).unwrap();
+        let result2 = session.query(&spec).unwrap();
         assert!(result2.cells.is_full());
+        assert!(result2
+            .report
+            .steps
+            .iter()
+            .all(|s| s.method != StepMethod::EntireArray));
     }
 
     #[test]
@@ -2099,9 +1919,12 @@ mod tests {
         strategy.set(1, vec![StorageStrategy::full_one()]);
         let (engine, mut rt, run) = run_pipeline(strategy);
         assert!(rt.has_lineage(run.run_id, 1));
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
-        let q = LineageQuery::backward(vec![Coord::d2(3, 3)], vec![(1, 0)]);
-        let result = exec.execute(&run, &q).unwrap();
+        let mut session = QuerySession::new(&engine, &mut rt, &run);
+        let result = session
+            .backward(vec![Coord::d2(3, 3)])
+            .from(1)
+            .to(0)
+            .unwrap();
         assert_eq!(result.cells.len(), 9);
         assert_eq!(result.report.steps[0].method, StepMethod::Stored);
     }
@@ -2147,86 +1970,97 @@ mod tests {
         let mut engine = Engine::new();
         let run = engine.execute(&wf, &externals(), &mut rt).unwrap();
 
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
-        let q = LineageQuery::backward(vec![Coord::d2(2, 2)], vec![(0, 0)]);
-        let result = exec.execute(&run, &q).unwrap();
-        assert_eq!(result.cells.len(), 9);
-        assert_eq!(result.report.steps[0].method, StepMethod::Reexecution);
-        assert_eq!(result.report.reexecutions(), 1);
-
-        // The session caches traced pairs: a second query against the same
-        // operator reuses them (observable only as identical answers here).
         let mut session = QuerySession::new(&engine, &mut rt, &run);
         let a = session
             .backward(vec![Coord::d2(2, 2)])
             .from(0)
             .to_source("img")
             .unwrap();
+        assert_eq!(a.cells.len(), 9);
+        assert_eq!(a.report.steps[0].method, StepMethod::Reexecution);
+        assert_eq!(a.report.reexecutions(), 1);
+
+        // The session caches traced pairs: a second query against the same
+        // operator reuses them and gives the same answer.
         let b = session
             .backward(vec![Coord::d2(2, 2)])
             .from(0)
             .to_source("img")
             .unwrap();
         assert_eq!(a.cells, b.cells);
-        assert_eq!(a.cells.len(), 9);
+        assert_eq!(b.report.reexecutions(), 1);
+    }
+
+    /// A backend whose recorded shapes disagree with the DAG: operator
+    /// `short` claims no inputs although the workflow wires one.
+    struct ShortMeta<'a> {
+        run: &'a WorkflowRun,
+        short: OpId,
+        short_meta: OpMeta,
+    }
+
+    impl QueryBackend for ShortMeta<'_> {
+        type Error = QueryError;
+
+        fn workflow(&self) -> &Workflow {
+            &self.run.workflow
+        }
+
+        fn meta(&self, op: OpId) -> Result<&OpMeta, QueryError> {
+            if op == self.short {
+                Ok(&self.short_meta)
+            } else {
+                Ok(&self.run.record(op)?.meta)
+            }
+        }
+
+        fn strategies(&self, _op: OpId) -> &[StorageStrategy] {
+            &[]
+        }
+
+        fn stored_entries(&mut self, _op: OpId) -> Option<usize> {
+            None
+        }
+
+        fn lookup_many(
+            &mut self,
+            _op: OpId,
+            _input_idx: usize,
+            _direction: Direction,
+            _queries: &[&CellSet],
+        ) -> Result<Vec<LookupOutcome>, QueryError> {
+            unreachable!("nothing is stored")
+        }
     }
 
     #[test]
     fn errors_for_bad_queries() {
         let (engine, mut rt, run) = run_pipeline(LineageStrategy::new());
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
+        // A step across an input the operator's shapes do not have.
+        let short_meta = OpMeta::new(Vec::new(), run.record(1).unwrap().meta.output_shape);
+        let mut walk = QueryWalk::new(ShortMeta {
+            run: &run,
+            short: 1,
+            short_meta,
+        });
+        let spec = QuerySpec::backward(vec![Coord::d2(0, 0)], 1, ArrayNode::Output(0));
         assert!(matches!(
-            exec.execute(&run, &LineageQuery::backward(vec![], vec![])),
-            Err(QueryError::EmptyPath)
+            walk.query_many(&spec, std::slice::from_ref(&spec.cells)),
+            Err(QueryError::BadInputIndex {
+                op: 1,
+                input_idx: 0
+            })
         ));
+        // A run without a record of the queried operator.
+        let mut partial = run.clone();
+        partial.records.remove(&1);
+        let mut session = QuerySession::new(&engine, &mut rt, &partial);
         assert!(matches!(
-            exec.execute(
-                &run,
-                &LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(0, 7)])
-            ),
-            Err(QueryError::BadInputIndex { .. })
-        ));
-        assert!(matches!(
-            exec.execute(
-                &run,
-                &LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(99, 0)])
-            ),
-            Err(QueryError::Engine(_))
-        ));
-    }
-
-    #[test]
-    fn invalid_path_names_the_offending_edge() {
-        let (engine, mut rt, run) = run_pipeline(LineageStrategy::new());
-        let mut exec = QueryExecutor::new(&engine, &mut rt);
-        // Backward path that skips the convolve: mean's input is fed by the
-        // convolve (operator 1), not by scale (operator 0).  The shapes
-        // happen to be compatible, so without DAG validation this would
-        // return a silently-wrong answer.
-        let q = LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(2, 0), (0, 0)]);
-        let err = exec.execute(&run, &q).unwrap_err();
-        match err {
-            QueryError::InvalidPath {
-                step,
-                op,
-                input_idx,
-                ref detail,
-            } => {
-                assert_eq!(step, 0);
-                assert_eq!(op, 2);
-                assert_eq!(input_idx, 0);
-                assert!(detail.contains("operator 1"), "detail: {detail}");
-            }
-            other => panic!("expected InvalidPath, got {other:?}"),
-        }
-        assert!(err.to_string().contains("step 0"));
-
-        // Forward variant: the mean (op 2) does not feed the convolve (1).
-        let q = LineageQuery::forward(vec![Coord::d2(0, 0)], vec![(2, 0), (1, 0)]);
-        let err = exec.execute(&run, &q).unwrap_err();
-        assert!(matches!(
-            err,
-            QueryError::InvalidPath { step: 1, op: 1, .. }
+            session.query(&spec),
+            Err(QueryError::Engine(EngineError::NotExecuted {
+                op_id: 1,
+                ..
+            }))
         ));
     }
 
@@ -2249,23 +2083,27 @@ mod tests {
         let mut strategy = LineageStrategy::new();
         strategy.set(1, vec![StorageStrategy::full_one_forward()]);
         let (engine, mut rt, run) = run_pipeline(strategy.clone());
-        let q = LineageQuery::backward(vec![Coord::d2(3, 3)], vec![(1, 0)]);
+        let spec = QuerySpec::backward(vec![Coord::d2(3, 3)], 1, ArrayNode::Output(0));
 
-        let mut exec = QueryExecutor::new(&engine, &mut rt).with_options(QueryOptions {
-            entire_array_optimization: true,
-            query_time_optimizer: false,
-        });
-        let static_result = exec.execute(&run, &q).unwrap();
+        let static_result = QuerySession::new(&engine, &mut rt, &run)
+            .with_options(QueryOptions {
+                entire_array_optimization: true,
+                query_time_optimizer: false,
+            })
+            .query(&spec)
+            .unwrap();
         assert_eq!(static_result.report.steps[0].method, StepMethod::Stored);
         assert!(static_result.report.any_scan());
 
         let (engine, mut rt, run) = run_pipeline(strategy);
-        let mut exec = QueryExecutor::new(&engine, &mut rt).with_policy(QueryTimePolicy {
-            // Make scans look expensive so the optimizer re-executes.
-            entry_cost: Duration::from_millis(10),
-            ..QueryTimePolicy::default()
-        });
-        let dynamic_result = exec.execute(&run, &q).unwrap();
+        let dynamic_result = QuerySession::new(&engine, &mut rt, &run)
+            .with_policy(QueryTimePolicy {
+                // Make scans look expensive so the optimizer re-executes.
+                entry_cost: Duration::from_millis(10),
+                ..QueryTimePolicy::default()
+            })
+            .query(&spec)
+            .unwrap();
         assert_eq!(
             dynamic_result.report.steps[0].method,
             StepMethod::Reexecution

@@ -17,27 +17,12 @@ use subzero_store::failpoint;
 use subzero_store::kv::{sanitize_name, FileBackend, KvBackend, MemBackend};
 use subzero_store::wal::{recover_dir, RecoveryReport, WalRecord, WriteAheadLog};
 
-use crate::capture::{CaptureConfig, CaptureMode, CapturePipeline, OverflowPolicy, Shard};
+use crate::capture::{CaptureConfig, CaptureMode, CapturePipeline, Shard};
 use crate::datastore::OpDatastore;
 use crate::model::{LineageStrategy, StorageStrategy};
 use crate::parallel;
 
 pub use subzero_engine::operator::OperatorExt as _;
-
-/// How the runtime hands captured region pairs to the datastores.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Batch-at-a-time ingestion (the default): whole [`RegionBatch`]es are
-    /// encoded and stored through [`OpDatastore::store_batch`], with entry
-    /// encoding fanned out across worker threads and one group flush per
-    /// batch and datastore.
-    #[default]
-    Batched,
-    /// The legacy reference path: every pair goes through the synchronous
-    /// `store_pair` chain one at a time.  Kept for parity testing and for the
-    /// ingestion benchmarks' baseline.
-    PerPair,
-}
 
 /// Per-operator lineage statistics gathered during capture.
 #[derive(Clone, Debug, Default)]
@@ -95,7 +80,6 @@ pub struct CaptureStats {
 pub struct Runtime {
     storage_dir: Option<PathBuf>,
     strategy: LineageStrategy,
-    ingest_mode: IngestMode,
     /// How captured batches reach the datastores: on the executor thread
     /// ([`CaptureMode::Sync`], the parity reference) or through the bounded
     /// queue and flusher pool ([`CaptureMode::Async`]).
@@ -111,8 +95,9 @@ pub struct Runtime {
     /// reports it instead of silently storing partial lineage.
     capture_failed: Option<CaptureError>,
     /// Batches shed by *retired* pipelines under
-    /// [`OverflowPolicy::DropNewest`]; the live pipeline's count is added on
-    /// read so the total survives shutdown and reconfiguration.
+    /// [`OverflowPolicy::DropNewest`](crate::capture::OverflowPolicy::DropNewest);
+    /// the live pipeline's count is added on read so the total survives
+    /// shutdown and reconfiguration.
     dropped_total: u64,
     /// Worker threads available to encode a batch (and to flush independent
     /// datastore shards concurrently).  1 means fully serial.
@@ -140,7 +125,6 @@ impl Runtime {
         Runtime {
             storage_dir: None,
             strategy: LineageStrategy::new(),
-            ingest_mode: IngestMode::default(),
             capture_mode: CaptureMode::default(),
             capture_config: CaptureConfig::default(),
             pipeline: None,
@@ -197,16 +181,6 @@ impl Runtime {
         &self.strategy
     }
 
-    /// Selects how captured pairs reach the datastores (batched by default).
-    pub fn set_ingest_mode(&mut self, mode: IngestMode) {
-        self.ingest_mode = mode;
-    }
-
-    /// The current ingestion mode.
-    pub fn ingest_mode(&self) -> IngestMode {
-        self.ingest_mode
-    }
-
     /// Selects whether capture runs on the executor thread or through the
     /// async pipeline.  Switching back to [`CaptureMode::Sync`] drains and
     /// shuts down a running pipeline first (best-effort; a flusher failure
@@ -238,36 +212,10 @@ impl Runtime {
         self.capture_config
     }
 
-    /// Sets the capture queue depth (see [`CaptureConfig::queue_depth`]).
-    pub fn set_capture_queue_depth(&mut self, depth: usize) {
-        let config = CaptureConfig {
-            queue_depth: depth,
-            ..self.capture_config
-        };
-        self.set_capture_config(config);
-    }
-
-    /// Sets the number of background flusher threads.
-    pub fn set_capture_flushers(&mut self, flushers: usize) {
-        let config = CaptureConfig {
-            flushers,
-            ..self.capture_config
-        };
-        self.set_capture_config(config);
-    }
-
-    /// Sets what a full capture queue does with the next batch.
-    pub fn set_capture_policy(&mut self, policy: OverflowPolicy) {
-        let config = CaptureConfig {
-            policy,
-            ..self.capture_config
-        };
-        self.set_capture_config(config);
-    }
-
-    /// Batches shed under [`OverflowPolicy::DropNewest`] over this runtime's
-    /// lifetime, across pipeline restarts (0 under the default blocking
-    /// policy).  Callers auditing shed lineage — e.g. to decide whether
+    /// Batches shed under
+    /// [`OverflowPolicy::DropNewest`](crate::capture::OverflowPolicy::DropNewest)
+    /// over this runtime's lifetime, across pipeline restarts (0 under the
+    /// default blocking policy).  Callers auditing shed lineage — e.g. to decide whether
     /// queries must fall back to re-execution — see the full count even
     /// after the pipeline was shut down or reconfigured.
     pub fn dropped_batches(&self) -> u64 {
@@ -619,33 +567,20 @@ impl Runtime {
             self.datastores.insert(key, stores);
         }
         let stores = self.datastores.get_mut(&key).expect("just inserted");
-        match self.ingest_mode {
-            IngestMode::Batched => {
-                // Each datastore is an independent shard; with spare
-                // workers and several shards, flush them concurrently and
-                // split the worker budget, otherwise give the single
-                // shard all encode workers.
-                let shard_parallel = self.workers > 1 && stores.len() > 1;
-                let shard_workers = if shard_parallel {
-                    parallel::split_budget(self.workers, stores.len())
-                } else {
-                    self.workers
-                };
-                for batch in batches {
-                    parallel::for_each_mut(stores, shard_parallel, |_, ds| {
-                        ds.store_batch(&batch.pairs, shard_workers);
-                    });
-                }
-            }
-            IngestMode::PerPair => {
-                for batch in batches {
-                    for pair in &batch.pairs {
-                        for ds in stores.iter_mut() {
-                            ds.store_pair(pair);
-                        }
-                    }
-                }
-            }
+        // Each datastore is an independent shard; with spare
+        // workers and several shards, flush them concurrently and
+        // split the worker budget, otherwise give the single
+        // shard all encode workers.
+        let shard_parallel = self.workers > 1 && stores.len() > 1;
+        let shard_workers = if shard_parallel {
+            parallel::split_budget(self.workers, stores.len())
+        } else {
+            self.workers
+        };
+        for batch in batches {
+            parallel::for_each_mut(stores, shard_parallel, |_, ds| {
+                ds.store_batch(&batch.pairs, shard_workers);
+            });
         }
     }
 
@@ -776,11 +711,7 @@ impl LineageCollector for Runtime {
             .collect();
         let total_pairs: usize = batches.iter().map(RegionBatch::len).sum();
         if !strategies.is_empty() && total_pairs > 0 {
-            // The async pipeline serves the batched path only; the per-pair
-            // reference path always stores synchronously.
-            let use_async =
-                self.capture_mode == CaptureMode::Async && self.ingest_mode == IngestMode::Batched;
-            if use_async {
+            if self.capture_mode == CaptureMode::Async {
                 self.stage_async(key, exec, &strategies, batches)?;
             } else {
                 self.store_sync(key, exec, &strategies, &batches);
@@ -813,6 +744,7 @@ impl std::fmt::Debug for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::OverflowPolicy;
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
     use subzero_array::{Array, Coord, Shape};
@@ -989,36 +921,76 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Forwards every batch to the runtime and keeps a copy of each
+    /// operator's pairs, so a test can replay what the runtime was given.
+    struct Tee<'a> {
+        runtime: &'a mut Runtime,
+        pairs: StdHashMap<OpId, (subzero_engine::OpMeta, Vec<RegionPair>)>,
+    }
+
+    impl LineageCollector for Tee<'_> {
+        fn modes_for(&self, workflow: &Workflow, op_id: OpId) -> Vec<LineageMode> {
+            self.runtime.modes_for(workflow, op_id)
+        }
+
+        fn collect_batches(
+            &mut self,
+            exec: &OpExecution<'_>,
+            batches: Vec<RegionBatch>,
+        ) -> Result<(), CaptureError> {
+            let (_, pairs) = self
+                .pairs
+                .entry(exec.op_id)
+                .or_insert_with(|| (exec.meta.clone(), Vec::new()));
+            for batch in &batches {
+                pairs.extend(batch.pairs.iter().cloned());
+            }
+            self.runtime.collect_batches(exec, batches)
+        }
+    }
+
     #[test]
     fn per_pair_and_batched_ingest_store_identical_lineage() {
+        // The reference replays the captured pairs one at a time through
+        // `store_pair` into fresh datastores.
         let wf = workflow();
-        let run_with = |mode: IngestMode, batch_size: usize| {
+        let strategies = [StorageStrategy::full_one(), StorageStrategy::full_many()];
+        for batch_size in [1usize, 5, 97, 4096] {
             let mut rt = Runtime::in_memory();
-            rt.set_ingest_mode(mode);
             let mut strategy = LineageStrategy::new();
-            strategy.set(
-                0,
-                vec![StorageStrategy::full_one(), StorageStrategy::full_many()],
-            );
+            strategy.set(0, strategies.to_vec());
             rt.set_strategy(strategy);
             let mut engine = Engine::new();
             engine.set_capture_batch_size(batch_size);
-            let run = engine.execute(&wf, &externals(), &mut rt).unwrap();
-            let snapshots: Vec<_> = rt
-                .datastores(run.run_id, 0)
-                .iter()
-                .map(|ds| ds.snapshot())
-                .collect();
+            let mut tee = Tee {
+                runtime: &mut rt,
+                pairs: StdHashMap::new(),
+            };
+            let run = engine.execute(&wf, &externals(), &mut tee).unwrap();
+            let (meta, pairs) = tee.pairs.remove(&0).expect("op 0 emitted pairs");
             let stats = rt.op_stats(run.run_id, 0).unwrap().clone();
-            (snapshots, stats)
-        };
-        let (reference, ref_stats) = run_with(IngestMode::PerPair, 1);
-        for batch_size in [1usize, 5, 4096] {
-            let (snapshots, stats) = run_with(IngestMode::Batched, batch_size);
-            assert_eq!(snapshots, reference, "batch_size={batch_size}");
-            assert_eq!(stats.pairs, ref_stats.pairs);
-            assert_eq!(stats.out_cells, ref_stats.out_cells);
-            assert_eq!(stats.in_cells, ref_stats.in_cells);
+            assert_eq!(stats.pairs, pairs.len() as u64, "batch_size={batch_size}");
+            let cells = |side: fn(&RegionPair) -> usize| pairs.iter().map(side).sum::<usize>();
+            assert_eq!(stats.out_cells, cells(|p| p.outcells().len()) as u64);
+            let in_cells = cells(|p| match p {
+                RegionPair::Full { incells, .. } => incells.iter().map(Vec::len).sum(),
+                RegionPair::Payload { .. } => 0,
+            });
+            assert_eq!(stats.in_cells, in_cells as u64);
+            let stores = rt.datastores(run.run_id, 0);
+            assert_eq!(stores.len(), strategies.len());
+            for (ds, s) in stores.iter().zip(strategies) {
+                let mut reference = OpDatastore::in_memory("reference", s, &meta);
+                for pair in &pairs {
+                    reference.store_pair(pair);
+                }
+                assert_eq!(
+                    ds.snapshot(),
+                    reference.snapshot(),
+                    "batch_size={batch_size}"
+                );
+                assert_eq!(ds.pairs_stored(), reference.pairs_stored());
+            }
         }
     }
 
@@ -1044,18 +1016,11 @@ mod tests {
     #[test]
     fn worker_and_mode_knobs() {
         let mut rt = Runtime::in_memory();
-        assert_eq!(
-            rt.ingest_mode(),
-            IngestMode::Batched,
-            "batched is the default"
-        );
         assert!(rt.workers() >= 1);
         rt.set_workers(0);
         assert_eq!(rt.workers(), 1, "worker count clamps to 1");
         rt.set_workers(4);
         assert_eq!(rt.workers(), 4);
-        rt.set_ingest_mode(IngestMode::PerPair);
-        assert_eq!(rt.ingest_mode(), IngestMode::PerPair);
     }
 
     /// Reference snapshots of a sync-capture run of `workflow()` with two

@@ -3,9 +3,8 @@
 //! [`SubZero`] wires the pieces together the way Figure 3 of the paper does:
 //! a workflow executor ([`Engine`]), the lineage capture [`Runtime`] with its
 //! operator-specific datastores, and the query surface — a [`QuerySession`]
-//! borrowed per run via [`SubZero::session`] (with the legacy explicit-path
-//! [`QueryExecutor`] underneath as a shim).  The lineage strategy is supplied
-//! either manually or by the `subzero-optimizer` crate.
+//! borrowed per run via [`SubZero::session`].  The lineage strategy is
+//! supplied either manually or by the `subzero-optimizer` crate.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,11 +16,8 @@ use subzero_engine::{Engine, Workflow};
 
 use crate::capture::{CaptureConfig, CaptureMode};
 use crate::model::LineageStrategy;
-use crate::query::{
-    LineageQuery, QueryCache, QueryError, QueryExecutor, QueryOptions, QueryResult, QuerySession,
-    QueryTimePolicy,
-};
-use crate::runtime::{CaptureStats, IngestMode, Runtime};
+use crate::query::{QueryCache, QueryOptions, QuerySession, QueryTimePolicy};
+use crate::runtime::{CaptureStats, Runtime};
 use subzero_engine::executor::CaptureError;
 
 /// The SubZero lineage system: workflow execution with lineage capture, plus
@@ -76,17 +72,10 @@ impl SubZero {
         self.runtime.strategy()
     }
 
-    /// Sets the number of region pairs per sealed capture batch (1 = the
-    /// legacy per-pair hand-off from the executor to the runtime).
+    /// Sets the number of region pairs per sealed capture batch (1 hands
+    /// the runtime one pair at a time).
     pub fn set_capture_batch_size(&mut self, batch_size: usize) {
         self.engine.set_capture_batch_size(batch_size);
-    }
-
-    /// Selects how the runtime hands captured pairs to the datastores
-    /// (batched by default; [`IngestMode::PerPair`] is the legacy reference
-    /// path used for parity testing and benchmarking).
-    pub fn set_ingest_mode(&mut self, mode: IngestMode) {
-        self.runtime.set_ingest_mode(mode);
     }
 
     /// Sets the number of worker threads used to encode capture batches.
@@ -177,24 +166,6 @@ impl SubZero {
             .with_options(self.options)
             .with_policy(self.policy)
             .with_cache(&mut self.query_cache)
-    }
-
-    /// Executes a legacy explicit-path lineage query against a previous run.
-    ///
-    /// Kept as a shim over the same step engine that
-    /// [`session`](SubZero::session) queries run on; prefer the session
-    /// surface, which derives the path from
-    /// the DAG instead of requiring a hand-assembled `(operator, input)`
-    /// step vector.
-    pub fn query(
-        &mut self,
-        run: &WorkflowRun,
-        query: &LineageQuery,
-    ) -> Result<QueryResult, QueryError> {
-        QueryExecutor::new(&self.engine, &mut self.runtime)
-            .with_options(self.options)
-            .with_policy(self.policy)
-            .execute(run, query)
     }
 
     /// The underlying workflow engine (array store, WAL, re-execution).
@@ -392,12 +363,20 @@ mod tests {
             .iter()
             .all(|s| s.method == StepMethod::Stored));
 
-        // The legacy explicit-path shim agrees with the session on the same
-        // single-path traversal.
-        #[allow(deprecated)]
-        let q = LineageQuery::backward(vec![Coord::d2(4, 4)], vec![(2, 0), (0, 0)]);
-        let legacy = sz.query(&run, &q).unwrap();
-        assert_eq!(legacy.cells, stored_answer.cells);
+        // Chaining the two one-edge queries along the only path gives the
+        // same answer as the derived traversal.
+        let mut session = sz.session(&run);
+        let via_merge = session
+            .backward(vec![Coord::d2(4, 4)])
+            .from(2)
+            .to(0)
+            .unwrap();
+        let chained = session
+            .backward(via_merge.cells.to_coords())
+            .from(0)
+            .to_source("exp1")
+            .unwrap();
+        assert_eq!(chained.cells, stored_answer.cells);
     }
 
     #[test]

@@ -290,11 +290,10 @@ pub fn forward_plan(wf: &Workflow, from: &ArrayNode, to: OpId) -> Result<TracePl
 }
 
 /// Enumerates every individual backward path from the output of `from` to
-/// `to` as explicit step vectors (legacy [`LineageQuery`-style] paths).
-/// Exponential in pathological DAGs; meant for parity tests and small
-/// workflows — executors should use [`backward_plan`].
-///
-/// [`LineageQuery`-style]: TracePlan
+/// `to` as explicit step vectors, ordered from `from` toward `to`.
+/// Exponential in pathological DAGs; meant for parity tests, which check a
+/// plan's answer against the union of per-path answers — executors should
+/// use [`backward_plan`].
 pub fn backward_paths(
     wf: &Workflow,
     from: OpId,

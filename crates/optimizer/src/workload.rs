@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use subzero::model::Direction;
-use subzero::query::{LineageQuery, QuerySpec};
+use subzero::query::QuerySpec;
 use subzero_engine::paths;
 use subzero_engine::{OpId, Workflow};
 
@@ -41,44 +41,6 @@ impl QueryWorkload {
     /// An empty workload (the optimizer falls back to black-box everywhere).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Summarises a set of weighted sample queries.
-    ///
-    /// Each `(query, weight)` pair contributes `weight` to every operator on
-    /// its path; weights are normalised so that access probabilities are
-    /// relative to the total workload weight.
-    pub fn from_queries(queries: &[(LineageQuery, f64)]) -> Self {
-        let total_weight: f64 = queries.iter().map(|(_, w)| *w).sum();
-        let mut per_op: HashMap<OpId, (f64, f64, f64, f64)> = HashMap::new();
-        // (weight, backward weight, cells*weight, hits)
-        for (q, w) in queries {
-            for &(op, _) in &q.path {
-                let entry = per_op.entry(op).or_insert((0.0, 0.0, 0.0, 0.0));
-                entry.0 += w;
-                if q.direction == Direction::Backward {
-                    entry.1 += w;
-                }
-                entry.2 += q.cells.len() as f64 * w;
-                entry.3 += w;
-            }
-        }
-        let mut out = QueryWorkload::new();
-        for (op, (weight, bw, cells, hits)) in per_op {
-            out.per_op.insert(
-                op,
-                OpWorkload {
-                    access_probability: if total_weight > 0.0 {
-                        weight / total_weight
-                    } else {
-                        0.0
-                    },
-                    backward_fraction: if weight > 0.0 { bw / weight } else { 0.0 },
-                    avg_query_cells: if hits > 0.0 { cells / hits } else { 0.0 },
-                },
-            );
-        }
-        out
     }
 
     /// Summarises a set of weighted declarative [`QuerySpec`]s against a
@@ -174,35 +136,40 @@ impl QueryWorkload {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercises the legacy LineageQuery shim alongside specs
 mod tests {
     use super::*;
-    use subzero_array::Coord;
+    use std::sync::Arc;
+    use subzero_array::{Array, ArrayRef, Coord, Shape};
+    use subzero_engine::{LineageSink, Operator};
+
+    struct Id;
+    impl Operator for Id {
+        fn name(&self) -> &str {
+            "id"
+        }
+        fn output_shape(&self, s: &[Shape]) -> Shape {
+            s[0]
+        }
+        fn run(
+            &self,
+            inputs: &[ArrayRef],
+            _m: &[subzero_engine::LineageMode],
+            _s: &mut dyn LineageSink,
+        ) -> Array {
+            (*inputs[0]).clone()
+        }
+    }
+
+    /// src -> 0 -> 1: a two-operator chain.
+    fn chain() -> Workflow {
+        let mut b = subzero_engine::Workflow::builder("chain");
+        let first = b.add_source(Arc::new(Id), "src");
+        b.add_unary(Arc::new(Id), first);
+        b.build().unwrap()
+    }
 
     #[test]
     fn from_specs_derives_ops_from_the_dag() {
-        use std::sync::Arc;
-        use subzero_array::{Array, ArrayRef, Shape};
-        use subzero_engine::{LineageSink, Operator};
-
-        struct Id;
-        impl Operator for Id {
-            fn name(&self) -> &str {
-                "id"
-            }
-            fn output_shape(&self, s: &[Shape]) -> Shape {
-                s[0]
-            }
-            fn run(
-                &self,
-                inputs: &[ArrayRef],
-                _m: &[subzero_engine::LineageMode],
-                _s: &mut dyn LineageSink,
-            ) -> Array {
-                (*inputs[0]).clone()
-            }
-        }
-
         // src -> a -> {b, c} -> d (diamond): a backward spec from d to the
         // source must weight all four operators once each.
         let mut b = subzero_engine::Workflow::builder("w");
@@ -231,10 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn from_queries_computes_probabilities_and_direction_mix() {
-        let q_back = LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(0, 0), (1, 0)]);
-        let q_fwd = LineageQuery::forward(vec![Coord::d2(0, 0), Coord::d2(0, 1)], vec![(1, 0)]);
-        let w = QueryWorkload::from_queries(&[(q_back, 1.0), (q_fwd, 1.0)]);
+    fn from_specs_computes_probabilities_and_direction_mix() {
+        let wf = chain();
+        // Backward through both operators; forward through operator 1 only.
+        let q_back = QuerySpec::backward_to_source(vec![Coord::d2(0, 0)], 1, "src");
+        let cells = vec![Coord::d2(0, 0), Coord::d2(0, 1)];
+        let q_fwd = QuerySpec::forward(cells, paths::ArrayNode::Output(0), 1);
+        let w = QueryWorkload::from_specs(&wf, &[(q_back, 1.0), (q_fwd, 1.0)]);
 
         let op0 = w.for_op(0);
         assert!((op0.access_probability - 0.5).abs() < 1e-9);
@@ -253,9 +223,10 @@ mod tests {
 
     #[test]
     fn weighted_queries_shift_probabilities() {
-        let q_a = LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(0, 0)]);
-        let q_b = LineageQuery::backward(vec![Coord::d2(0, 0)], vec![(1, 0)]);
-        let w = QueryWorkload::from_queries(&[(q_a, 3.0), (q_b, 1.0)]);
+        let wf = chain();
+        let q_a = QuerySpec::backward_to_source(vec![Coord::d2(0, 0)], 0, "src");
+        let q_b = QuerySpec::backward(vec![Coord::d2(0, 0)], 1, paths::ArrayNode::Output(0));
+        let w = QueryWorkload::from_specs(&wf, &[(q_a, 3.0), (q_b, 1.0)]);
         assert!((w.for_op(0).access_probability - 0.75).abs() < 1e-9);
         assert!((w.for_op(1).access_probability - 0.25).abs() < 1e-9);
     }

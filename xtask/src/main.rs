@@ -23,6 +23,10 @@
 //!   `crates/store/src/mmap.rs` (the audited mmap read-path module); the
 //!   token anywhere else in the crate's library code is rejected so the
 //!   zero-copy surface stays reviewable in one place.
+//! * `deprecated-shim` — no `#[deprecated]` and no `allow(deprecated)` in
+//!   `crates/*/{src,tests,examples}`, test code included: a retired surface
+//!   is deleted and its callers ported, not kept alive behind a deprecation
+//!   that its own tests then silence.
 //!
 //! The lints are text-based by design: no `syn`, no network, no
 //! dependencies — they run anywhere the repository checks out.  Each lint's
@@ -177,6 +181,16 @@ fn has_unsafe_token(code: &str) -> bool {
     false
 }
 
+/// Files where `deprecated-shim` applies: every workspace crate's
+/// `src/`, `tests/` and `examples/` (the shims, which stand in for outside
+/// crates, sit one level deeper and are not matched).
+fn is_deprecation_checked(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates")
+        && parts.next().is_some()
+        && matches!(parts.next(), Some("src" | "tests" | "examples"))
+}
+
 /// Files on the codec/encode hot path, where `hot-loop-timing` applies.
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/array/src/")
@@ -251,6 +265,37 @@ fn lock_unwrap_hits(code: &str) -> Vec<&'static str> {
 }
 
 // ---------------------------------------------------------------------------
+// L5: deprecated-shim
+// ---------------------------------------------------------------------------
+
+/// The deprecation attribute on one (comment-stripped) line of code, if any:
+/// `#[deprecated…]`, or `deprecated` listed in an `allow(…)`/`expect(…)`
+/// (also inside `cfg_attr`).
+fn deprecated_shim_hit(code: &str) -> Option<&'static str> {
+    let code: String = code.split_whitespace().collect();
+    if code.contains("#[deprecated") || code.contains("#![deprecated") {
+        return Some("#[deprecated]");
+    }
+    for (opener, hit) in [
+        ("allow(", "allow(deprecated)"),
+        ("expect(", "expect(deprecated)"),
+    ] {
+        let mut from = 0;
+        while let Some(pos) = code[from..].find(opener) {
+            let at = from + pos;
+            let in_attribute = at > 0 && matches!(code.as_bytes()[at - 1], b'[' | b'(' | b',');
+            let args = &code[at + opener.len()..];
+            let args = &args[..args.find(')').unwrap_or(args.len())];
+            if in_attribute && args.split(',').any(|a| a == "deprecated") {
+                return Some(hit);
+            }
+            from = at + opener.len();
+        }
+    }
+    None
+}
+
+// ---------------------------------------------------------------------------
 // Rust-source lint driver
 // ---------------------------------------------------------------------------
 
@@ -258,6 +303,23 @@ fn lock_unwrap_hits(code: &str) -> Vec<&'static str> {
 /// repository-relative `path`.
 fn lint_rust_source(path: &str, content: &str) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    if is_deprecation_checked(path) {
+        // Test files and test regions too: a deprecated item's tests are
+        // exactly where `allow(deprecated)` keeps it alive.
+        for (idx, raw) in content.lines().enumerate() {
+            if let Some(hit) = deprecated_shim_hit(strip_line_comment(raw)) {
+                out.push(diag(
+                    path,
+                    idx + 1,
+                    "deprecated-shim",
+                    format!(
+                        "`{hit}` keeps a retired surface alive; delete it and port \
+                         its callers instead"
+                    ),
+                ));
+            }
+        }
+    }
     if file_is_exempt(path) {
         return out;
     }
@@ -577,6 +639,63 @@ mod tests {
         );
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { unsafe {} }\n}\n";
         assert!(lint_rust_source("crates/store/src/kv.rs", src).is_empty());
+    }
+
+    #[test]
+    fn deprecated_shim_fires_in_sources_tests_and_examples() {
+        let src = "#[deprecated(note = \"use QuerySession\")]\npub fn old() {}\n";
+        let diags = lint_rust_source(LIB_PATH, src);
+        assert_eq!(lints_of(&diags), vec!["deprecated-shim"]);
+        assert_eq!(diags[0].line, 1);
+        assert_eq!(
+            lints_of(&lint_rust_source(LIB_PATH, "#[deprecated]\nfn old() {}\n")),
+            vec!["deprecated-shim"]
+        );
+        // Silencing the warning is banned as well, wherever the crate's own
+        // code lives: integration tests, examples, and test regions.
+        let src = "#![allow(deprecated)] // comparing against the shim\n";
+        for path in [
+            "crates/bench/tests/query_parity.rs",
+            "crates/core/examples/quickstart.rs",
+            "crates/optimizer/src/workload.rs",
+        ] {
+            assert_eq!(
+                lints_of(&lint_rust_source(path, src)),
+                vec!["deprecated-shim"],
+                "{path}"
+            );
+        }
+        let src = "#[cfg(test)]\n#[allow(deprecated)]\nmod tests {\n}\n";
+        assert_eq!(
+            lints_of(&lint_rust_source(LIB_PATH, src)),
+            vec!["deprecated-shim"]
+        );
+        for src in [
+            "#[allow(dead_code, deprecated)]\n",
+            "#[cfg_attr(test, allow( deprecated ))]\n",
+            "#[expect(deprecated)]\n",
+        ] {
+            assert_eq!(
+                lints_of(&lint_rust_source(LIB_PATH, src)),
+                vec!["deprecated-shim"],
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn deprecated_shim_ignores_comments_lookalikes_and_tooling() {
+        // Comments, other lint names and plain identifiers don't count.
+        assert!(lint_rust_source(LIB_PATH, "// #[deprecated] is banned\n").is_empty());
+        assert!(lint_rust_source(LIB_PATH, "/// `allow(deprecated)` is banned\n").is_empty());
+        let src = "#[allow(clippy::deprecated_cfg_attr)]\nfn f() {}\n";
+        assert!(lint_rust_source(LIB_PATH, src).is_empty());
+        let src = "fn f(p: &Policy) { p.allow(deprecated); let deprecated = 1; }\n";
+        assert!(lint_rust_source(LIB_PATH, src).is_empty());
+        // The shims stand in for outside crates; tooling is not a crate.
+        let src = "#[deprecated]\npub fn old() {}\n";
+        assert!(lint_rust_source("crates/shims/rand/src/lib.rs", src).is_empty());
+        assert!(lint_rust_source("xtask/src/main.rs", src).is_empty());
     }
 
     #[test]
