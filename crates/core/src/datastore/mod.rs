@@ -12,28 +12,34 @@
 //! degrades to a full scan — deliberately so, because that mismatch penalty
 //! (up to two orders of magnitude in the paper's genomics benchmark) is one
 //! of the effects SubZero's optimizer exists to avoid.
+//!
+//! What every store has — the backend, counters, spatial index, sidecar and
+//! recovery — lives here; its records are `Full` region pairs (`full`) or
+//! payloads (`pay`, composite lineage too), each type with its own lookups
+//! and caches.
 
-use std::collections::{hash_map, HashMap, HashSet};
+mod full;
+mod pay;
+
+use std::collections::{hash_map, HashSet};
 use std::time::{Duration, Instant};
 
 use subzero_array::{BoundingBox, CellSet, Coord, Shape};
-use subzero_engine::{OpMeta, Operator, RegionPair};
+use subzero_engine::{LineageMode, OpMeta, Operator, RegionPair};
 use subzero_store::codec::{
-    decode_fixed_u64, encode_fixed_u64, read_varint, write_varint, Arena, CellRun, CodecError,
-    ScanFrame, Span,
+    decode_fixed_u64, encode_fixed_u64, read_varint, write_varint, Arena, CodecError, Span,
 };
 use subzero_store::hash::FxHashMap;
 use subzero_store::kv::{Database, KvBackend, MemBackend};
 use subzero_store::RTree;
 
 use crate::encoder::{
-    self, decode_entry_ids_into, decode_full_entry, decode_full_entry_frame, decode_key,
-    decode_key_linear, decode_pay_entry, decode_payloads, DecodedKey, DecodedKeyLinear,
-    FullEntryRuns, PackedCellKey, PayEntry,
+    self, decode_full_entry, decode_key_linear, decode_pay_entry, DecodedKeyLinear, PackedCellKey,
 };
 use crate::model::{Direction, Granularity, StorageStrategy};
 use crate::parallel;
-use subzero_engine::LineageMode;
+use full::{FullRecords, RecordSide};
+use pay::PayRecords;
 
 /// Magic bytes of the sidecar spatial-index file persisted next to a
 /// file-backed store's `.kv` log (see
@@ -183,138 +189,50 @@ impl KeyInterner {
     }
 }
 
-/// Materialises the entry-record keys `base_id .. base_id + count` into one
-/// arena (the batched path never allocates a `Vec` per entry key).
-fn entry_key_arena(base_id: u64, count: usize) -> (Arena, Vec<Span>) {
-    let mut keys = Arena::with_capacity(count * 9);
-    let mut spans = Vec::with_capacity(count);
-    for i in 0..count {
-        let start = keys.begin();
-        encoder::entry_key_into(keys.buf_mut(), base_id + i as u64);
-        spans.push(keys.finish(start));
-    }
-    (keys, spans)
+/// One worker's contiguous shard of an ingest batch, serialised into one
+/// arena: entry bodies back-to-back, then each pair's index records flat
+/// with per-pair counts — cell keys kept packed (no per-key allocation) for
+/// a `One` layout, bounding boxes for a `Many` layout.
+#[derive(Default)]
+struct Shard {
+    bodies: Arena,
+    spans: Vec<Span>,
+    keys: Vec<PackedCellKey>,
+    boxes: Vec<BoundingBox>,
+    counts: Vec<u32>,
 }
 
-/// Record-block size for streamed full scans ([`Database::scan_batch`]):
+/// Serialises `work` in contiguous shards, one per worker thread (no
+/// per-record allocations, no locks): `encode` writes one pair's entry body,
+/// if its layout has entry records, and pushes its index records.
+fn encode_shards<T: Sync>(
+    work: &[T],
+    workers: usize,
+    encode: impl Fn(&T, &mut Shard) + Sync,
+) -> Vec<Shard> {
+    parallel::parallel_chunks(work, workers, 64, |_, chunk| {
+        let mut shard = Shard {
+            bodies: Arena::with_capacity(chunk.len() * 16),
+            spans: Vec::with_capacity(chunk.len()),
+            counts: Vec::with_capacity(chunk.len()),
+            ..Shard::default()
+        };
+        for item in chunk {
+            let start = shard.bodies.begin();
+            let before = shard.keys.len() + shard.boxes.len();
+            encode(item, &mut shard);
+            shard.spans.push(shard.bodies.finish(start));
+            let after = shard.keys.len() + shard.boxes.len();
+            shard.counts.push((after - before) as u32);
+        }
+        shard
+    })
+}
+
+/// Record-block size for streamed full scans ([`Database::scan_slices`]):
 /// large enough to amortise the per-block dispatch, small enough that a
 /// block of decoded records stays cache-resident.
 const SCAN_BLOCK: usize = 1024;
-
-/// Decoded payload-entry cache shared by every query of one batched
-/// lookup: each hash entry is fetched and decoded at most once per batch,
-/// however many queries reference it.
-#[derive(Default)]
-struct EntryCache<T> {
-    /// entry id -> (a body existed, decoded entry if decoding succeeded)
-    map: HashMap<u64, (bool, Option<T>)>,
-}
-
-impl<T> EntryCache<T> {
-    /// Returns whether a body exists for `id` (for per-query fetch
-    /// accounting) and the decoded entry, fetching and decoding on first use.
-    ///
-    /// Reads go through [`Database::peek`] so caches can live on the worker
-    /// threads of a fanned-out lookup, which share the database immutably.
-    fn get(
-        &mut self,
-        db: &Database,
-        id: u64,
-        decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> (bool, Option<&T>) {
-        let slot = self
-            .map
-            .entry(id)
-            .or_insert_with(|| match db.peek(&encoder::entry_key(id)) {
-                Some(body) => (true, decode(&body)),
-                None => (false, None),
-            });
-        (slot.0, slot.1.as_ref())
-    }
-
-    /// Forgets every cached entry (keeping the allocation); the write paths
-    /// call this because a cached "no body for this id" miss can be
-    /// invalidated by a later write of that entry id.
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-/// Per-worker columnar cache of the `Full` entries an indexed lookup
-/// fetched, with the scratch buffers its record reads reuse.
-///
-/// Each entry body is decoded once by [`decode_full_entry_frame`] into the
-/// flat `frame` (the representation the mismatched-direction scan join
-/// decodes into), and the lookup answers from its [`FullEntryRuns`] in
-/// linear-index space: no `Vec<Coord>` per entry, no allocation per record
-/// read once the buffers are warm.
-#[derive(Default)]
-struct FullCache {
-    /// `(entry id, input index)` -> (a body existed, its runs in `frame` if
-    /// the body decoded).  The input is part of the key because the frame
-    /// holds only the queried input's cells.
-    runs: FxHashMap<(u64, usize), (bool, Option<FullEntryRuns>)>,
-    /// The cell-index column every cached run points into.
-    frame: ScanFrame,
-    /// Scratch key of the record being read.
-    key: Vec<u8>,
-    /// Scratch value of the record being read.
-    value: Vec<u8>,
-    /// Scratch entry ids of the cell record being read.
-    ids: Vec<u64>,
-    /// Covered query cells of the query being answered, merged into the
-    /// outcome's set once per query.
-    covered: Vec<u64>,
-    /// Answer runs of the entries the query's cell records name (one entry
-    /// is often named by many query cells, so runs are deduplicated before
-    /// their cells are gathered).
-    hits: Vec<CellRun>,
-    /// Answer cells of the query being answered, merged like `covered`.
-    result: Vec<u64>,
-}
-
-impl FullCache {
-    /// Whether a body exists for entry `id` (for per-query fetch accounting)
-    /// and its runs for input `input_idx`, fetching and decoding on first
-    /// use.  Reads go through [`Database::peek_into`] so caches can live on
-    /// the worker threads of a fanned-out lookup, which share the database
-    /// immutably.
-    fn entry(
-        &mut self,
-        db: &Database,
-        id: u64,
-        out_cells: u64,
-        in_cells: &[u64],
-        input_idx: usize,
-    ) -> (bool, Option<FullEntryRuns>) {
-        if let Some(&slot) = self.runs.get(&(id, input_idx)) {
-            return slot;
-        }
-        self.key.clear();
-        encoder::entry_key_into(&mut self.key, id);
-        let slot = if db.peek_into(&self.key, &mut self.value) {
-            let runs = decode_full_entry_frame(
-                &mut self.frame,
-                out_cells,
-                in_cells,
-                input_idx,
-                &self.value,
-            );
-            (true, runs.ok())
-        } else {
-            (false, None)
-        };
-        self.runs.insert((id, input_idx), slot);
-        slot
-    }
-
-    /// Forgets every cached entry (keeping the allocations); see
-    /// [`EntryCache::clear`].
-    fn clear(&mut self) {
-        self.runs.clear();
-        self.frame.clear();
-    }
-}
 
 /// Grows `pool` to the shard count a fanned-out lookup will use (one cache
 /// per worker chunk, capped at one per query) and returns the slice whose
@@ -342,6 +260,15 @@ fn cache_shards<C: Default>(pool: &mut Vec<C>, workers: usize, queries: usize) -
 /// It is the independent byte reference that the parity tests compare
 /// `store_batch` against: both produce byte-identical datastore contents.
 pub struct OpDatastore {
+    /// What every store has, whatever its records.
+    base: Base,
+    /// The records the strategy's mode writes, with their lookup caches.
+    records: Records,
+}
+
+/// The part of an [`OpDatastore`] its records share: the backend, the
+/// spatial index and its staging, the counters and the sidecar state.
+struct Base {
     strategy: StorageStrategy,
     out_shape: Shape,
     in_shapes: Vec<Shape>,
@@ -360,73 +287,75 @@ pub struct OpDatastore {
     /// batched write path takes its worker budget per call, because the
     /// runtime splits it between datastore shards).
     workers: usize,
-    /// Per-worker columnar caches ([`FullCache`]) reused across indexed
-    /// `Full` lookups: each holds the decoded entries as runs of one flat
-    /// cell-index frame plus the record-read scratch buffers.  Shard `i` of
-    /// a fanned-out lookup always runs with cache `i`, so repeat batches
-    /// against an unchanged store hit warm caches and reuse warm buffers.
-    /// Cleared by the write paths.
-    full_caches: Vec<FullCache>,
-    /// Per-worker decoded-entry caches for payload entries, used the same
-    /// way.
-    pay_caches: Vec<EntryCache<PayEntry>>,
     /// `(log stamp, next entry id, pairs, cells)` the sidecar file on disk
     /// was last written for; a repeat `finish_ingest` with nothing new (the
     /// commit path finishes a run twice) skips the rewrite.
     sidecar_written: Option<(u64, u64, u64, u64)>,
 }
 
+/// The records of one store: `Full` region pairs, or payloads (for the
+/// payload and composite modes alike).
+enum Records {
+    Full(FullRecords),
+    Pay(PayRecords),
+}
+
 impl OpDatastore {
     /// Creates a datastore backed by the given key-value backend.
+    ///
+    /// # Panics
+    ///
+    /// If `strategy` stores no region pairs (mapping or black-box lineage):
+    /// such an operator has no datastore.
     pub fn new(
         name: impl Into<String>,
         strategy: StorageStrategy,
         meta: &OpMeta,
         backend: Box<dyn KvBackend>,
     ) -> Self {
-        let rtree = match strategy.granularity {
-            Granularity::Many if strategy.stores_pairs() => Some(RTree::new()),
-            _ => None,
+        let records = match strategy.mode {
+            LineageMode::Full => Records::Full(FullRecords::default()),
+            LineageMode::Pay | LineageMode::Comp => Records::Pay(PayRecords::default()),
+            mode => panic!("a {mode:?} strategy stores no region pairs and has no datastore"),
         };
         let mut store = OpDatastore {
-            strategy,
-            out_shape: meta.output_shape,
-            in_shapes: meta.input_shapes.clone(),
-            db: Database::new(name, backend),
-            rtree,
-            rtree_staged: Vec::new(),
-            next_entry_id: 0,
-            pairs_stored: 0,
-            cells_stored: 0,
-            encode_time: Duration::ZERO,
-            workers: parallel::default_workers(),
-            full_caches: Vec::new(),
-            pay_caches: Vec::new(),
-            sidecar_written: None,
+            base: Base {
+                strategy,
+                out_shape: meta.output_shape,
+                in_shapes: meta.input_shapes.clone(),
+                db: Database::new(name, backend),
+                rtree: (strategy.granularity == Granularity::Many).then(RTree::new),
+                rtree_staged: Vec::new(),
+                next_entry_id: 0,
+                pairs_stored: 0,
+                cells_stored: 0,
+                encode_time: Duration::ZERO,
+                workers: parallel::default_workers(),
+                sidecar_written: None,
+            },
+            records,
         };
         // A non-empty file backend means this datastore is being *reopened*
         // (daemon restart, crash recovery): restore the spatial index and
         // entry counters, from the sidecar when it is still valid, otherwise
         // by rescanning the log.
-        store.recover_on_open();
+        store.base.recover_on_open(&store.records);
         store
     }
 
     /// Drops every cached decoded entry; the write paths call this because a
     /// newly written entry id invalidates a cached "no body" miss.
     fn invalidate_caches(&mut self) {
-        for cache in &mut self.full_caches {
-            cache.clear();
-        }
-        for cache in &mut self.pay_caches {
-            cache.clear();
+        match &mut self.records {
+            Records::Full(records) => records.clear_caches(),
+            Records::Pay(records) => records.clear_caches(),
         }
     }
 
     /// Sets how many worker threads batched lookups may fan out across
     /// (clamped to at least 1; 1 means fully serial lookups).
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.base.workers = workers.max(1);
     }
 
     /// Creates an in-memory datastore (the common case for tests and
@@ -437,23 +366,23 @@ impl OpDatastore {
 
     /// The storage strategy this datastore implements.
     pub fn strategy(&self) -> StorageStrategy {
-        self.strategy
+        self.base.strategy
     }
 
     /// Number of region pairs stored.
     pub fn pairs_stored(&self) -> u64 {
-        self.pairs_stored
+        self.base.pairs_stored
     }
 
     /// Total number of coordinates stored across all pairs.
     pub fn cells_stored(&self) -> u64 {
-        self.cells_stored
+        self.base.cells_stored
     }
 
     /// Time spent encoding and writing pairs (the runtime overhead charged to
     /// this strategy).
     pub fn encode_time(&self) -> Duration {
-        self.encode_time
+        self.base.encode_time
     }
 
     /// Logical bytes used by the hash entries plus the spatial index
@@ -461,24 +390,25 @@ impl OpDatastore {
     /// with the inner-node overhead a packed tree will add so the number
     /// does not jump when the first lookup builds the index).
     pub fn bytes_used(&self) -> usize {
+        let base = &self.base;
         let entry_bytes = std::mem::size_of::<BoundingBox>() + 8;
         let staged_estimate =
-            self.rtree_staged.len() * entry_bytes * RTree::BRANCHING / (RTree::BRANCHING - 1);
-        self.db.bytes_used()
-            + self.rtree.as_ref().map(|t| t.size_bytes()).unwrap_or(0)
+            base.rtree_staged.len() * entry_bytes * RTree::BRANCHING / (RTree::BRANCHING - 1);
+        base.db.bytes_used()
+            + base.rtree.as_ref().map(|t| t.size_bytes()).unwrap_or(0)
             + staged_estimate
     }
 
     /// Number of live hash entries.
     pub fn num_entries(&self) -> usize {
-        self.db.len()
+        self.base.db.len()
     }
 
     /// A sorted copy of every `(key, value)` pair in the hash database.
     /// Used by tests to assert that `store_batch` and the `store_pair`
     /// reference produce byte-identical contents.
     pub fn snapshot(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = self.db.iter().collect();
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = self.base.db.iter().collect();
         pairs.sort();
         pairs
     }
@@ -500,18 +430,261 @@ impl OpDatastore {
     pub fn store_pair(&mut self, pair: &RegionPair) {
         self.invalidate_caches();
         let start = Instant::now();
-        match (self.strategy.mode, pair) {
+        let base = &mut self.base;
+        match (base.strategy.mode, pair) {
             (LineageMode::Full, RegionPair::Full { outcells, incells }) => {
-                self.store_full(outcells, incells);
+                base.store_full(outcells, incells);
             }
             (LineageMode::Pay | LineageMode::Comp, RegionPair::Payload { outcells, payload }) => {
-                self.store_payload(outcells, payload);
+                base.store_payload(outcells, payload);
             }
             _ => return,
         }
-        self.pairs_stored += 1;
-        self.cells_stored += pair.num_cells() as u64;
-        self.encode_time += start.elapsed();
+        base.pairs_stored += 1;
+        base.cells_stored += pair.num_cells() as u64;
+        base.encode_time += start.elapsed();
+    }
+
+    /// Stores a whole batch of region pairs according to the strategy.
+    ///
+    /// Equivalent to calling the [`store_pair`](OpDatastore::store_pair)
+    /// reference on every pair in order — the stored contents are
+    /// byte-identical, which the parity tests check — but organised
+    /// batch-at-a-time: worker threads serialise contiguous shards of the
+    /// batch into arenas, a per-batch interning table (`KeyInterner`)
+    /// coalesces repeated cell keys into append deltas before they reach the
+    /// kv table, entry records and deltas go to the backend as one
+    /// [`write_group`](Database::write_group), and spatial-index entries are
+    /// staged for deferred STR bulk loading.
+    pub fn store_batch(&mut self, pairs: &[RegionPair], workers: usize) {
+        if pairs.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        match &mut self.records {
+            Records::Full(records) => records.store_batch(&mut self.base, pairs, workers),
+            Records::Pay(records) => records.store_batch(&mut self.base, pairs, workers),
+        }
+        self.base.encode_time += start.elapsed();
+    }
+
+    /// Finishes an ingestion phase: builds the spatial index from staged
+    /// entries, flushes the hash database and persists the sidecar index
+    /// file for file-backed stores.  Lookups do this lazily; call it
+    /// explicitly to move the cost out of the first query (the benchmarks
+    /// do, so index build time is charged to ingestion, not to queries).
+    pub fn finish_ingest(&mut self) {
+        self.base.ensure_spatial_index();
+        self.base.db.flush().expect("lineage database flush");
+        self.persist_sidecar_index();
+    }
+
+    /// Forces flushed log bytes to stable storage (no-op in memory).  The
+    /// transactional prepare path calls this before recording the log length
+    /// as durable.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.base.db.sync()
+    }
+
+    /// `(file name, flushed byte length)` of the backing `.kv` log — exactly
+    /// what a [`WalRecord::Prepare`](subzero_store::WalRecord::Prepare)
+    /// publishes for this store.  `None` for in-memory stores (nothing to
+    /// recover, nothing to prepare).
+    pub fn commit_file(&self) -> Option<(String, u64)> {
+        let db = &self.base.db;
+        let name = db.file_path()?.file_name()?.to_str()?.to_string();
+        Some((name, db.log_len()?))
+    }
+
+    /// Folds superseded `merge_append_batch` delta chains (and overwritten
+    /// entries generally) out of the backing log, returning bytes reclaimed.
+    ///
+    /// Only call on fully committed stores: compaction rewrites the file, so
+    /// staged-but-uncommitted tail bytes would be folded in.  Decoded-entry
+    /// caches are dropped (record offsets moved) and the sidecar index is
+    /// re-stamped against the dense log.
+    pub fn compact(&mut self) -> std::io::Result<u64> {
+        let reclaimed = self.base.db.compact()?;
+        if reclaimed > 0 {
+            self.invalidate_caches();
+            self.persist_sidecar_index();
+        }
+        Ok(reclaimed)
+    }
+
+    /// Writes the spatial index and entry counters to the sidecar file next
+    /// to the backing `.kv` log, stamped with the log's current persist
+    /// fingerprint so a reopen can tell whether the sidecar still describes
+    /// the log contents.  No-op for in-memory stores.  A write failure only
+    /// warns: the sidecar is a restart accelerator, and a reopen rebuilds
+    /// everything from the log.
+    pub fn persist_sidecar_index(&mut self) {
+        let base = &mut self.base;
+        let Some(path) = base.sidecar_path() else {
+            return;
+        };
+        // Every change to the index or the counters comes with a log append
+        // (or a compaction), which moves the stamp.
+        let state = (
+            base.db.persist_stamp(),
+            base.next_entry_id,
+            base.pairs_stored,
+            base.cells_stored,
+        );
+        if base.sidecar_written == Some(state) {
+            return;
+        }
+        base.ensure_spatial_index();
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SIDECAR_MAGIC);
+        buf.push(SIDECAR_VERSION);
+        buf.extend_from_slice(&encode_fixed_u64(state.0));
+        write_varint(&mut buf, base.next_entry_id);
+        write_varint(&mut buf, base.pairs_stored);
+        write_varint(&mut buf, base.cells_stored);
+        match &base.rtree {
+            Some(tree) => {
+                buf.push(1);
+                tree.serialize_into(&mut buf);
+            }
+            None => buf.push(0),
+        }
+        match std::fs::write(&path, &buf) {
+            Ok(()) => base.sidecar_written = Some(state),
+            Err(e) => eprintln!(
+                "subzero: failed to write spatial-index sidecar {}: {e}",
+                path.display()
+            ),
+        }
+    }
+
+    /// Answers a whole batch of lookups in `direction` about input
+    /// `input_idx` in one pass, returning one [`LookupOutcome`] per query
+    /// (identical to running each query alone).  A backward query names
+    /// output cells and is answered with cells of input `input_idx`; a
+    /// forward query names cells of that input and is answered with output
+    /// cells.
+    ///
+    /// The batch shares the physical work: a hash entry referenced by several
+    /// queries is fetched and decoded once, payload mapping functions run
+    /// once per stored region instead of once per query, and — the big one —
+    /// when the stored index direction does not match the query direction,
+    /// the *single* full scan (streamed through [`Database::scan_slices`] in
+    /// decode blocks riding the `put_batch` file layout) answers every query
+    /// of the batch, instead of one scan per query.
+    ///
+    /// Indexed lookups fan out across the scoped worker threads of
+    /// [`parallel`] (see [`set_workers`](OpDatastore::set_workers)),
+    /// splitting the query batch into per-worker shards, each with its own
+    /// decoded-entry cache.  The shared scan is one single-threaded pass that
+    /// joins while it decodes, in memory bounded by a hit mask per entry
+    /// plus the answers rather than by the store.  Results are deterministic
+    /// and identical at any worker count.
+    ///
+    /// The arm follows from the record type, from whether the store's index
+    /// serves `direction` and from the granularity; payload lineage is
+    /// indexed by output cells only, so its forward lookups scan.
+    pub fn lookup_many(
+        &mut self,
+        direction: Direction,
+        queries: &[&CellSet],
+        input_idx: usize,
+        op: &dyn Operator,
+        meta: &OpMeta,
+    ) -> Vec<LookupOutcome> {
+        self.base.ensure_spatial_index();
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        let base = &self.base;
+        match &mut self.records {
+            Records::Full(records) => records.lookup_many(base, direction, queries, input_idx),
+            Records::Pay(records) => {
+                records.lookup_many(base, direction, queries, input_idx, op, meta)
+            }
+        }
+    }
+
+    /// [`lookup_many`](OpDatastore::lookup_many) in the backward direction.
+    pub fn lookup_backward_many(
+        &mut self,
+        queries: &[&CellSet],
+        input_idx: usize,
+        op: &dyn Operator,
+        meta: &OpMeta,
+    ) -> Vec<LookupOutcome> {
+        self.lookup_many(Direction::Backward, queries, input_idx, op, meta)
+    }
+
+    /// [`lookup_many`](OpDatastore::lookup_many) in the forward direction.
+    pub fn lookup_forward_many(
+        &mut self,
+        queries: &[&CellSet],
+        input_idx: usize,
+        op: &dyn Operator,
+        meta: &OpMeta,
+    ) -> Vec<LookupOutcome> {
+        self.lookup_many(Direction::Forward, queries, input_idx, op, meta)
+    }
+}
+
+impl Base {
+    /// Writes the `shards` [`encode_shards`] serialised from `work`, pair by
+    /// pair: with `entries`, each pair gets the next entry id and an entry
+    /// record holding its body; its cell keys are interned with the bytes
+    /// `delta` appends for it (from at most `key_space` distinct keys) and
+    /// its boxes are staged for the R-tree.  The entry records and the
+    /// coalesced deltas reach the backend zero-copy, as one group write.
+    fn write_shards<T>(
+        &mut self,
+        shards: &[Shard],
+        work: &[T],
+        entries: bool,
+        key_space: usize,
+        delta: impl Fn(&T, u64, &mut Vec<u8>),
+    ) {
+        let base_id = self.next_entry_id;
+        let count = if entries { work.len() } else { 0 };
+        self.next_entry_id += count as u64;
+        let many = self.strategy.granularity == Granularity::Many;
+        let total_keys = shards.iter().map(|s| s.keys.len()).sum();
+        let mut interner = KeyInterner::with_capacity(total_keys, key_space);
+        let (mut id, mut items) = (base_id, work.iter());
+        for shard in shards {
+            let mut pos = 0usize;
+            for &n in &shard.counts {
+                let item = items.next().expect("one count per pair");
+                let range = pos..pos + n as usize;
+                if many {
+                    let boxes = shard.boxes[range].iter();
+                    self.rtree_staged.extend(boxes.map(|&bbox| (bbox, id)));
+                } else {
+                    for &key in &shard.keys[range] {
+                        interner.append_with(key, |value| delta(item, id, value));
+                    }
+                }
+                pos += n as usize;
+                id += entries as u64;
+            }
+        }
+        // The entry keys `base_id..`, materialised into one arena.
+        let mut keys = Arena::with_capacity(count * 9);
+        let key_spans: Vec<Span> = (base_id..base_id + count as u64)
+            .map(|id| {
+                let start = keys.begin();
+                encoder::entry_key_into(keys.buf_mut(), id);
+                keys.finish(start)
+            })
+            .collect();
+        let bodies = shards
+            .iter()
+            .flat_map(|s| s.spans.iter().map(|&span| s.bodies.get(span)));
+        let records: Vec<(&[u8], &[u8])> = key_spans
+            .iter()
+            .map(|&span| keys.get(span))
+            .zip(bodies)
+            .collect();
+        self.db.write_group(&records, &interner.deltas());
     }
 
     fn store_full(&mut self, outcells: &[Coord], incells: &[Vec<Coord>]) {
@@ -636,320 +809,28 @@ impl OpDatastore {
         id
     }
 
-    /// Stores a whole batch of region pairs according to the strategy.
-    ///
-    /// Equivalent to calling the [`store_pair`](OpDatastore::store_pair)
-    /// reference on every pair in order — the stored contents are
-    /// byte-identical, which the parity tests check — but the work
-    /// is organised batch-at-a-time around a per-batch encode arena:
-    ///
-    /// * each worker thread serialises its contiguous shard of the batch
-    ///   into one arena (entry bodies back-to-back, cell keys packed as
-    ///   integers — no per-record allocations, no locks on the hot path);
-    /// * repeated cell keys are dedup'd *before they reach the kv table* by
-    ///   a per-batch interning table (`KeyInterner`) — one table probe per
-    ///   distinct key instead of a read-modify-write per pair;
-    /// * the entry records and the coalesced append deltas go to the backend
-    ///   zero-copy from the arena slices as one
-    ///   [`write_group`](Database::write_group) — one log write per batch;
-    /// * spatial-index entries are staged for deferred STR bulk loading
-    ///   instead of being inserted (and split) one at a time.
-    pub fn store_batch(&mut self, pairs: &[RegionPair], workers: usize) {
-        if pairs.is_empty() {
-            return;
-        }
-        self.invalidate_caches();
-        let start = Instant::now();
-        match self.strategy.mode {
-            LineageMode::Full => self.store_full_batch(pairs, workers),
-            LineageMode::Pay | LineageMode::Comp => self.store_pay_batch(pairs, workers),
-            LineageMode::Map | LineageMode::Blackbox => return,
-        }
-        self.encode_time += start.elapsed();
-    }
-
-    fn store_full_batch(&mut self, pairs: &[RegionPair], workers: usize) {
-        // Pairs whose kind matches the strategy count toward the statistics
-        // (as in store_pair); only those with output cells allocate entries.
-        let mut work: Vec<(&[Coord], &[Vec<Coord>])> = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            if let RegionPair::Full { outcells, incells } = pair {
-                self.pairs_stored += 1;
-                self.cells_stored += pair.num_cells() as u64;
-                if !outcells.is_empty() {
-                    work.push((outcells, incells));
-                }
-            }
-        }
-        if work.is_empty() {
-            return;
-        }
-        let base_id = self.next_entry_id;
-        self.next_entry_id += work.len() as u64;
-
-        let out_shape = self.out_shape;
-        let in_shapes = &self.in_shapes;
-        let (granularity, direction) = (self.strategy.granularity, self.strategy.direction);
-        // The FullOne-forward entry body stores empty input-cell lists; built
-        // once, not once per pair.
-        let empty_incells: Vec<Vec<Coord>> = vec![Vec::new(); in_shapes.len()];
-
-        /// One worker's contiguous shard of the batch, serialised into one
-        /// arena: entry bodies back-to-back, cell keys kept packed (no
-        /// per-key allocation), bounding boxes flat with per-pair counts.
-        struct Shard {
-            bodies: Arena,
-            spans: Vec<Span>,
-            keys: Vec<PackedCellKey>,
-            key_counts: Vec<u32>,
-            boxes: Vec<BoundingBox>,
-            box_counts: Vec<u32>,
-        }
-        let shards = parallel::parallel_chunks(&work, workers, 64, |_, chunk| {
-            let mut shard = Shard {
-                bodies: Arena::with_capacity(chunk.len() * 16),
-                spans: Vec::with_capacity(chunk.len()),
-                keys: Vec::new(),
-                key_counts: Vec::with_capacity(chunk.len()),
-                boxes: Vec::new(),
-                box_counts: Vec::with_capacity(chunk.len()),
-            };
-            for &(outcells, incells) in chunk {
-                let start = shard.bodies.begin();
-                let keys_before = shard.keys.len();
-                let boxes_before = shard.boxes.len();
-                match (granularity, direction) {
-                    (Granularity::One, Direction::Backward) => {
-                        encoder::encode_full_entry_into(
-                            shard.bodies.buf_mut(),
-                            &out_shape,
-                            in_shapes,
-                            &[],
-                            incells,
-                            false,
-                        );
-                        shard.keys.extend(
-                            outcells
-                                .iter()
-                                .map(|oc| PackedCellKey::out_cell(&out_shape, oc)),
-                        );
-                    }
-                    (Granularity::One, Direction::Forward) => {
-                        encoder::encode_full_entry_into(
-                            shard.bodies.buf_mut(),
-                            &out_shape,
-                            in_shapes,
-                            outcells,
-                            &empty_incells,
-                            true,
-                        );
-                        for (j, cells) in incells.iter().enumerate() {
-                            shard.keys.extend(
-                                cells
-                                    .iter()
-                                    .map(|ic| PackedCellKey::in_cell(&in_shapes[j], j, ic)),
-                            );
-                        }
-                    }
-                    (Granularity::Many, Direction::Backward) => {
-                        encoder::encode_full_entry_into(
-                            shard.bodies.buf_mut(),
-                            &out_shape,
-                            in_shapes,
-                            outcells,
-                            incells,
-                            true,
-                        );
-                        shard.boxes.extend(BoundingBox::enclosing(outcells));
-                    }
-                    (Granularity::Many, Direction::Forward) => {
-                        encoder::encode_full_entry_into(
-                            shard.bodies.buf_mut(),
-                            &out_shape,
-                            in_shapes,
-                            outcells,
-                            incells,
-                            true,
-                        );
-                        shard.boxes.extend(
-                            incells
-                                .iter()
-                                .filter_map(|cells| BoundingBox::enclosing(cells)),
-                        );
-                    }
-                }
-                shard.spans.push(shard.bodies.finish(start));
-                shard
-                    .key_counts
-                    .push((shard.keys.len() - keys_before) as u32);
-                shard
-                    .box_counts
-                    .push((shard.boxes.len() - boxes_before) as u32);
-            }
-            shard
-        });
-
-        // Serial phase: dedup the cell-record keys, stage the spatial-index
-        // entries, then hand the batch to the backend as one zero-copy group
-        // write over the arena slices — the entry bodies, then the coalesced
-        // cell-record deltas.
-        let (entry_keys, entry_key_spans) = entry_key_arena(base_id, work.len());
-        let total_keys: usize = shards.iter().map(|s| s.keys.len()).sum();
-        let key_space = match direction {
-            Direction::Backward => out_shape.num_cells(),
-            Direction::Forward => in_shapes.iter().map(Shape::num_cells).sum(),
-        };
-        let mut interner = KeyInterner::with_capacity(total_keys, key_space);
-        let mut id = base_id;
-        for shard in &shards {
-            let (mut key_pos, mut box_pos) = (0usize, 0usize);
-            for (&kc, &bc) in shard.key_counts.iter().zip(&shard.box_counts) {
-                for key in &shard.keys[key_pos..key_pos + kc as usize] {
-                    interner.append_with(*key, |v| encoder::append_entry_id(v, id));
-                }
-                for bbox in &shard.boxes[box_pos..box_pos + bc as usize] {
-                    self.rtree_staged.push((*bbox, id));
-                }
-                key_pos += kc as usize;
-                box_pos += bc as usize;
-                id += 1;
-            }
-        }
-        let mut records: Vec<(&[u8], &[u8])> = Vec::with_capacity(work.len());
-        let mut i = 0usize;
-        for shard in &shards {
-            for span in &shard.spans {
-                records.push((entry_keys.get(entry_key_spans[i]), shard.bodies.get(*span)));
-                i += 1;
-            }
-        }
-        self.db.write_group(&records, &interner.deltas());
-    }
-
-    fn store_pay_batch(&mut self, pairs: &[RegionPair], workers: usize) {
-        let mut work: Vec<(&[Coord], &[u8])> = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            if let RegionPair::Payload { outcells, payload } = pair {
-                self.pairs_stored += 1;
-                self.cells_stored += pair.num_cells() as u64;
-                if !outcells.is_empty() {
-                    work.push((outcells, payload));
-                }
-            }
-        }
-        if work.is_empty() {
-            return;
-        }
-        match self.strategy.granularity {
-            Granularity::One => {
-                // The payload is duplicated into every output cell's record;
-                // pack the keys in parallel (integers, no allocation), then
-                // dedup and append the payloads per batch.
-                let out_shape = self.out_shape;
-                let shard_keys: Vec<Vec<PackedCellKey>> =
-                    parallel::parallel_chunks(&work, workers, 64, |_, chunk| {
-                        chunk
-                            .iter()
-                            .flat_map(|&(outcells, _)| {
-                                outcells
-                                    .iter()
-                                    .map(|oc| PackedCellKey::out_cell(&out_shape, oc))
-                            })
-                            .collect()
-                    });
-                let total_keys: usize = shard_keys.iter().map(Vec::len).sum();
-                let mut interner = KeyInterner::with_capacity(total_keys, out_shape.num_cells());
-                let mut keys = shard_keys.iter().flatten();
-                for &(outcells, payload) in &work {
-                    for _ in 0..outcells.len() {
-                        let key = *keys.next().expect("one packed key per output cell");
-                        interner.append_with(key, |v| encoder::append_payload(v, payload));
-                    }
-                }
-                self.db.merge_append_batch(&interner.deltas());
-            }
-            Granularity::Many => {
-                let base_id = self.next_entry_id;
-                self.next_entry_id += work.len() as u64;
-                let out_shape = self.out_shape;
-                // Arena-encode the entry bodies per worker shard, then write
-                // the whole batch with one zero-copy group write.
-                let shards: Vec<(Arena, Vec<Span>)> =
-                    parallel::parallel_chunks(&work, workers, 64, |_, chunk| {
-                        let mut bodies = Arena::with_capacity(chunk.len() * 16);
-                        let mut spans = Vec::with_capacity(chunk.len());
-                        for &(outcells, payload) in chunk {
-                            let start = bodies.begin();
-                            encoder::encode_pay_entry_into(
-                                bodies.buf_mut(),
-                                &out_shape,
-                                outcells,
-                                payload,
-                            );
-                            spans.push(bodies.finish(start));
-                        }
-                        (bodies, spans)
-                    });
-                for (i, &(outcells, _)) in work.iter().enumerate() {
-                    if let Some(bbox) = BoundingBox::enclosing(outcells) {
-                        self.rtree_staged.push((bbox, base_id + i as u64));
-                    }
-                }
-                let (entry_keys, entry_key_spans) = entry_key_arena(base_id, work.len());
-                let mut records: Vec<(&[u8], &[u8])> = Vec::with_capacity(work.len());
-                let mut i = 0usize;
-                for (bodies, spans) in &shards {
-                    for span in spans {
-                        records.push((entry_keys.get(entry_key_spans[i]), bodies.get(*span)));
-                        i += 1;
-                    }
-                }
-                self.db.put_batch_slices(&records);
-            }
+    /// An outcome with no cells for a lookup in `direction` about input
+    /// `input_idx`.
+    fn empty_outcome(
+        &self,
+        direction: Direction,
+        input_idx: usize,
+        scanned: bool,
+    ) -> LookupOutcome {
+        let (query_side, answer_side) = RecordSide::of(direction, input_idx);
+        LookupOutcome {
+            result: CellSet::empty(answer_side.shape(&self.out_shape, &self.in_shapes)),
+            covered: CellSet::empty(query_side.shape(&self.out_shape, &self.in_shapes)),
+            entries_fetched: 0,
+            scanned,
         }
     }
 
-    /// Finishes an ingestion phase: builds the spatial index from staged
-    /// entries, flushes the hash database and persists the sidecar index
-    /// file for file-backed stores.  Lookups do this lazily; call it
-    /// explicitly to move the cost out of the first query (the benchmarks
-    /// do, so index build time is charged to ingestion, not to queries).
-    pub fn finish_ingest(&mut self) {
-        self.ensure_spatial_index();
-        self.db.flush().expect("lineage database flush");
-        self.persist_sidecar_index();
-    }
-
-    /// Forces flushed log bytes to stable storage (no-op in memory).  The
-    /// transactional prepare path calls this before recording the log length
-    /// as durable.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.db.sync()
-    }
-
-    /// `(file name, flushed byte length)` of the backing `.kv` log — exactly
-    /// what a [`WalRecord::Prepare`](subzero_store::WalRecord::Prepare)
-    /// publishes for this store.  `None` for in-memory stores (nothing to
-    /// recover, nothing to prepare).
-    pub fn commit_file(&self) -> Option<(String, u64)> {
-        let name = self.db.file_path()?.file_name()?.to_str()?.to_string();
-        Some((name, self.db.log_len()?))
-    }
-
-    /// Folds superseded `merge_append_batch` delta chains (and overwritten
-    /// entries generally) out of the backing log, returning bytes reclaimed.
-    ///
-    /// Only call on fully committed stores: compaction rewrites the file, so
-    /// staged-but-uncommitted tail bytes would be folded in.  Decoded-entry
-    /// caches are dropped (record offsets moved) and the sidecar index is
-    /// re-stamped against the dense log.
-    pub fn compact(&mut self) -> std::io::Result<u64> {
-        let reclaimed = self.db.compact()?;
-        if reclaimed > 0 {
-            self.invalidate_caches();
-            self.persist_sidecar_index();
-        }
-        Ok(reclaimed)
+    /// The cell counts of the output array and of each input array, which
+    /// bound the linear indices [`decode_key_linear`] accepts.
+    fn cell_counts(&self) -> (u64, Vec<u64>) {
+        let in_cells = self.in_shapes.iter().map(|s| s.num_cells() as u64);
+        (self.out_shape.num_cells() as u64, in_cells.collect())
     }
 
     /// Drains staged spatial-index entries into the R-tree.  An empty tree is
@@ -983,61 +864,13 @@ impl OpDatastore {
         Some(std::path::PathBuf::from(os))
     }
 
-    /// Writes the spatial index and entry counters to the sidecar file next
-    /// to the backing `.kv` log, stamped with the log's current persist
-    /// fingerprint so a reopen can tell whether the sidecar still describes
-    /// the log contents.  No-op for in-memory stores and strategies that
-    /// store no region pairs.  A write failure only warns: the sidecar is a
-    /// restart accelerator, and a reopen rebuilds everything from the log.
-    pub fn persist_sidecar_index(&mut self) {
-        if !self.strategy.stores_pairs() {
-            return;
-        }
-        let Some(path) = self.sidecar_path() else {
-            return;
-        };
-        // Every change to the index or the counters comes with a log append
-        // (or a compaction), which moves the stamp.
-        let state = (
-            self.db.persist_stamp(),
-            self.next_entry_id,
-            self.pairs_stored,
-            self.cells_stored,
-        );
-        if self.sidecar_written == Some(state) {
-            return;
-        }
-        self.ensure_spatial_index();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SIDECAR_MAGIC);
-        buf.push(SIDECAR_VERSION);
-        buf.extend_from_slice(&encode_fixed_u64(state.0));
-        write_varint(&mut buf, self.next_entry_id);
-        write_varint(&mut buf, self.pairs_stored);
-        write_varint(&mut buf, self.cells_stored);
-        match &self.rtree {
-            Some(tree) => {
-                buf.push(1);
-                tree.serialize_into(&mut buf);
-            }
-            None => buf.push(0),
-        }
-        match std::fs::write(&path, &buf) {
-            Ok(()) => self.sidecar_written = Some(state),
-            Err(e) => eprintln!(
-                "subzero: failed to write spatial-index sidecar {}: {e}",
-                path.display()
-            ),
-        }
-    }
-
     /// Restores index state when constructed over a non-empty file backend:
     /// loads the sidecar index if its stamp still matches the log, otherwise
     /// rebuilds the index and counters by scanning the log (warning when a
     /// sidecar existed but no longer matched — e.g. after a crash between a
     /// log append and the sidecar rewrite).
-    fn recover_on_open(&mut self) {
-        if !self.strategy.stores_pairs() || self.db.is_empty() {
+    fn recover_on_open(&mut self, records: &Records) {
+        if self.db.is_empty() {
             return;
         }
         let Some(path) = self.sidecar_path() else {
@@ -1061,7 +894,7 @@ impl OpDatastore {
                                      rebuilding from the log",
                                     path.display()
                                 );
-                                self.rebuild_index_from_scan();
+                                self.rebuild_index_from_scan(records);
                                 return;
                             }
                         }
@@ -1080,7 +913,7 @@ impl OpDatastore {
             },
         };
         if !loaded {
-            self.rebuild_index_from_scan();
+            self.rebuild_index_from_scan(records);
         }
     }
 
@@ -1125,60 +958,48 @@ impl OpDatastore {
     /// (optimizer statistics only) are reconstructed from the shared entries,
     /// which undercounts the *One*-granularity layouts that fold cells into
     /// hash keys.
-    fn rebuild_index_from_scan(&mut self) {
+    fn rebuild_index_from_scan(&mut self, records: &Records) {
         let out_shape = self.out_shape;
-        let in_shapes = self.in_shapes.clone();
-        let mode = self.strategy.mode;
+        let in_shapes = &self.in_shapes;
+        let (out_cells, in_cells) = self.cell_counts();
         let direction = self.strategy.direction;
         let wants_tree = self.rtree.is_some();
         let mut next_entry_id = 0u64;
         let mut pairs_stored = 0u64;
         let mut cells_stored = 0u64;
         let mut staged: Vec<(BoundingBox, u64)> = Vec::new();
-        self.db.scan_batch(256, &mut |records| {
-            for (key, value) in records.iter().map(|(k, v)| (k.as_slice(), v.as_slice())) {
-                let Ok(DecodedKey::Entry(id)) = encoder::decode_key(&out_shape, &in_shapes, key)
+        self.db.scan_batch(256, &mut |block| {
+            for (key, value) in block.iter().map(|(k, v)| (k.as_slice(), v.as_slice())) {
+                let Ok(DecodedKeyLinear::Entry(id)) = decode_key_linear(out_cells, &in_cells, key)
                 else {
                     continue;
                 };
                 next_entry_id = next_entry_id.max(id + 1);
                 pairs_stored += 1;
-                match mode {
-                    LineageMode::Full => {
-                        let Ok(entry) = decode_full_entry(&out_shape, &in_shapes, value) else {
+                // The cells of the entry's indexed side, one list per box.
+                let mut index = |cells: &[Coord]| {
+                    if wants_tree {
+                        staged.extend(BoundingBox::enclosing(cells).map(|bbox| (bbox, id)));
+                    }
+                };
+                match records {
+                    Records::Full(_) => {
+                        let Ok(entry) = decode_full_entry(&out_shape, in_shapes, value) else {
                             continue;
                         };
                         cells_stored += entry.outcells.len() as u64;
                         cells_stored += entry.incells.iter().map(|c| c.len() as u64).sum::<u64>();
-                        if wants_tree {
-                            match direction {
-                                Direction::Backward => {
-                                    if let Some(bbox) = BoundingBox::enclosing(&entry.outcells) {
-                                        staged.push((bbox, id));
-                                    }
-                                }
-                                Direction::Forward => {
-                                    for cells in &entry.incells {
-                                        if let Some(bbox) = BoundingBox::enclosing(cells) {
-                                            staged.push((bbox, id));
-                                        }
-                                    }
-                                }
-                            }
+                        for cells in full::indexed(direction, &entry.outcells, &entry.incells) {
+                            index(cells);
                         }
                     }
-                    LineageMode::Pay | LineageMode::Comp => {
+                    Records::Pay(_) => {
                         let Ok(entry) = decode_pay_entry(&out_shape, value) else {
                             continue;
                         };
                         cells_stored += entry.outcells.len() as u64;
-                        if wants_tree {
-                            if let Some(bbox) = BoundingBox::enclosing(&entry.outcells) {
-                                staged.push((bbox, id));
-                            }
-                        }
+                        index(&entry.outcells);
                     }
-                    LineageMode::Map | LineageMode::Blackbox => {}
                 }
             }
         });
@@ -1191,366 +1012,6 @@ impl OpDatastore {
             self.rtree = Some(RTree::bulk_load(staged));
         }
         self.rtree_staged.clear();
-    }
-
-    /// Answers a whole batch of lookups in `direction` about input
-    /// `input_idx` in one pass, returning one [`LookupOutcome`] per query
-    /// (identical to running each query alone).  A backward query names
-    /// output cells and is answered with cells of input `input_idx`; a
-    /// forward query names cells of that input and is answered with output
-    /// cells.
-    ///
-    /// The batch shares the physical work: a hash entry referenced by several
-    /// queries is fetched and decoded once, payload mapping functions run
-    /// once per stored region instead of once per query, and — the big one —
-    /// when the stored index direction does not match the query direction,
-    /// the *single* full scan (streamed through [`Database::scan_slices`] in
-    /// decode blocks riding the `put_batch` file layout) answers every query
-    /// of the batch, instead of one scan per query.
-    ///
-    /// Indexed lookups fan out across the scoped worker threads of
-    /// [`parallel`] (see [`set_workers`](OpDatastore::set_workers)),
-    /// splitting the query batch into per-worker shards, each with its own
-    /// decoded-entry cache.  The shared scan is one single-threaded pass that
-    /// joins while it decodes, in memory bounded by a hit mask per entry
-    /// plus the answers rather than by the store.  Results are deterministic
-    /// and identical at any worker count.
-    ///
-    /// A forward lookup is a backward lookup with the region pair's sides
-    /// swapped (§VI-A), so each `Full` arm is written once over the lookup's
-    /// query and answer sides (`RecordSide`).  The arm follows from whether the
-    /// store's index serves `direction` and from the granularity; payload
-    /// lineage is indexed by output cells only, so its forward lookups scan.
-    pub fn lookup_many(
-        &mut self,
-        direction: Direction,
-        queries: &[&CellSet],
-        input_idx: usize,
-        op: &dyn Operator,
-        meta: &OpMeta,
-    ) -> Vec<LookupOutcome> {
-        self.ensure_spatial_index();
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let (query_side, answer_side) = RecordSide::of(direction, input_idx);
-        let out_shape = self.out_shape;
-        let in_shapes = &self.in_shapes;
-        let workers = self.workers;
-        let db = &self.db;
-        let rtree = self.rtree.as_ref();
-        let full_caches = cache_shards(&mut self.full_caches, workers, queries.len());
-        let pay_caches = cache_shards(&mut self.pay_caches, workers, queries.len());
-        let empty_outcome = |scanned| LookupOutcome {
-            result: CellSet::empty(answer_side.shape(&out_shape, in_shapes)),
-            covered: CellSet::empty(query_side.shape(&out_shape, in_shapes)),
-            entries_fetched: 0,
-            scanned,
-        };
-        let out_cells = out_shape.num_cells() as u64;
-        let in_cells: &[u64] = &in_shapes
-            .iter()
-            .map(|s| s.num_cells() as u64)
-            .collect::<Vec<_>>();
-
-        let indexed = self.strategy.serves(direction);
-        match (self.strategy.mode, indexed, self.strategy.granularity) {
-            // --- Full lineage, indexed on the query side ---------------------
-            // Both arms answer in linear-index space from the worker's
-            // columnar cache, like the scan join below: hits collect in the
-            // cache's flat scratch lists and each answer set is built once.
-            (LineageMode::Full, true, Granularity::One) => {
-                fan_out(queries, full_caches, |cache, query| {
-                    let mut out = empty_outcome(false);
-                    for qc in query.iter_linear() {
-                        let qc = qc as u64;
-                        cache.key.clear();
-                        query_side.packed_key(qc).write_into(&mut cache.key);
-                        if !db.peek_into(&cache.key, &mut cache.value) {
-                            continue;
-                        }
-                        cache.covered.push(qc);
-                        // A torn id list decodes to no ids.
-                        cache.ids.clear();
-                        let _ = decode_entry_ids_into(&mut cache.ids, &cache.value);
-                        for k in 0..cache.ids.len() {
-                            let (present, runs) =
-                                cache.entry(db, cache.ids[k], out_cells, in_cells, input_idx);
-                            out.entries_fetched += present as usize;
-                            if let Some(runs) = runs {
-                                cache.hits.push(answer_side.run(runs));
-                            }
-                        }
-                    }
-                    insert_all(&mut out.covered, &mut cache.covered);
-                    // Each named entry's answer cells are gathered once.
-                    cache.hits.sort_unstable();
-                    cache.hits.dedup();
-                    for &run in &cache.hits {
-                        cache.result.extend_from_slice(cache.frame.run(run));
-                    }
-                    cache.hits.clear();
-                    insert_all(&mut out.result, &mut cache.result);
-                    out
-                })
-            }
-            (LineageMode::Full, true, Granularity::Many) => {
-                fan_out(queries, full_caches, |cache, query| {
-                    let mut out = empty_outcome(false);
-                    for id in candidate_entries(rtree, query) {
-                        let (present, runs) = cache.entry(db, id, out_cells, in_cells, input_idx);
-                        out.entries_fetched += present as usize;
-                        let Some(runs) = runs else { continue };
-                        let FullCache {
-                            frame,
-                            covered,
-                            result,
-                            ..
-                        } = cache;
-                        let cells = frame.run(query_side.run(runs));
-                        if query.intersect_sorted(cells, |c| covered.push(c)) {
-                            result.extend_from_slice(frame.run(answer_side.run(runs)));
-                        }
-                    }
-                    insert_all(&mut out.covered, &mut cache.covered);
-                    insert_all(&mut out.result, &mut cache.result);
-                    out
-                })
-            }
-            // --- Full lineage, mismatched index: one shared scan -------------
-            (LineageMode::Full, false, _) => {
-                self.scan_join_full(queries, direction, input_idx, in_cells, || {
-                    empty_outcome(true)
-                })
-            }
-            // --- Payload lineage, backward: indexed on output cells ----------
-            (LineageMode::Pay | LineageMode::Comp, true, Granularity::One) => {
-                // map_payload depends on the query cell, so only the record
-                // fetches are shareable — and query cells rarely repeat
-                // across a batch; fan the per-query loops out as they are.
-                fan_out(queries, pay_caches, |_, query| {
-                    let mut out = empty_outcome(false);
-                    for qc in query.iter() {
-                        let Some(value) = db.peek(&encoder::out_cell_key(&out_shape, &qc)) else {
-                            continue;
-                        };
-                        out.covered.insert(&qc);
-                        out.entries_fetched += 1;
-                        for payload in decode_payloads(&value).unwrap_or_default() {
-                            for c in op
-                                .map_payload(&qc, &payload, input_idx, meta)
-                                .unwrap_or_default()
-                            {
-                                out.result.insert(&c);
-                            }
-                        }
-                    }
-                    out
-                })
-            }
-            (LineageMode::Pay | LineageMode::Comp, true, Granularity::Many) => {
-                fan_out(queries, pay_caches, |cache, query| {
-                    let mut out = empty_outcome(false);
-                    for id in candidate_entries(rtree, query) {
-                        let (present, entry) =
-                            cache.get(db, id, |body| decode_pay_entry(&out_shape, body).ok());
-                        out.entries_fetched += present as usize;
-                        let Some(entry) = entry else { continue };
-                        for oc in entry.outcells.iter().filter(|c| query.contains(c)) {
-                            out.covered.insert(oc);
-                            for c in op
-                                .map_payload(oc, &entry.payload, input_idx, meta)
-                                .unwrap_or_default()
-                            {
-                                out.result.insert(&c);
-                            }
-                        }
-                    }
-                    out
-                })
-            }
-            // --- Payload lineage, forward: one shared scan -------------------
-            (LineageMode::Pay | LineageMode::Comp, false, _) => {
-                // One streamed scan joins as it decodes: each stored group
-                // of output cells and payloads (a `PayOne` cell record: one
-                // cell, its payloads; a `PayMany` entry: its cells, one
-                // payload) runs the mapping function once per (cell,
-                // payload) region, and the region is joined against every
-                // query straight away.
-                let mut outs: Vec<LookupOutcome> =
-                    queries.iter().map(|_| empty_outcome(true)).collect();
-                let mut fetched = 0usize;
-                db.scan_slices(SCAN_BLOCK, &mut |block| {
-                    for &(key, value) in block {
-                        let (outcells, payloads) = match decode_key(&out_shape, in_shapes, key) {
-                            Ok(DecodedKey::OutCell(oc)) => {
-                                (vec![oc], decode_payloads(value).unwrap_or_default())
-                            }
-                            Ok(DecodedKey::Entry(_)) => decode_pay_entry(&out_shape, value)
-                                .map(|e| (e.outcells, vec![e.payload]))
-                                .unwrap_or_default(),
-                            _ => continue,
-                        };
-                        fetched += 1;
-                        for oc in &outcells {
-                            for p in &payloads {
-                                let incells =
-                                    op.map_payload(oc, p, input_idx, meta).unwrap_or_default();
-                                for (out, query) in outs.iter_mut().zip(queries) {
-                                    if cover(&mut out.covered, &incells, query) {
-                                        out.result.insert(oc);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                });
-                for out in &mut outs {
-                    out.entries_fetched = fetched;
-                }
-                outs
-            }
-            (LineageMode::Map | LineageMode::Blackbox, _, _) => {
-                // These strategies store nothing; the query executor never
-                // routes lookups here, but returning empty outcomes keeps the
-                // datastore total.
-                queries.iter().map(|_| empty_outcome(false)).collect()
-            }
-        }
-    }
-
-    /// [`lookup_many`](OpDatastore::lookup_many) in the backward direction.
-    pub fn lookup_backward_many(
-        &mut self,
-        queries: &[&CellSet],
-        input_idx: usize,
-        op: &dyn Operator,
-        meta: &OpMeta,
-    ) -> Vec<LookupOutcome> {
-        self.lookup_many(Direction::Backward, queries, input_idx, op, meta)
-    }
-
-    /// [`lookup_many`](OpDatastore::lookup_many) in the forward direction.
-    pub fn lookup_forward_many(
-        &mut self,
-        queries: &[&CellSet],
-        input_idx: usize,
-        op: &dyn Operator,
-        meta: &OpMeta,
-    ) -> Vec<LookupOutcome> {
-        self.lookup_many(Direction::Forward, queries, input_idx, op, meta)
-    }
-
-    /// Answers a batch of mismatched-direction lookups over a `Full` store in
-    /// one streamed pass of [`Database::scan_slices`] that joins while it
-    /// decodes, in memory independent of the store's size beyond one hit mask
-    /// per entry (see [`EntryHits`]).
-    ///
-    /// Each entry record decodes into one reused [`ScanFrame`] and is probed
-    /// once against every densified query, leaving its hit mask; a `Many`
-    /// store's hit entries contribute their answer-side cells right there.  A
-    /// `One` store's cell records — keyed on the answer side — join as they
-    /// stream by: a record's cell answers every query that hits an entry it
-    /// names.  A record naming an entry not yet scanned is deferred and joined
-    /// after the pass, so answers never depend on scan order; on a file log a
-    /// live cell record follows every entry it names, and nothing is deferred.
-    fn scan_join_full(
-        &self,
-        queries: &[&CellSet],
-        direction: Direction,
-        input_idx: usize,
-        in_cells: &[u64],
-        empty_outcome: impl Fn() -> LookupOutcome,
-    ) -> Vec<LookupOutcome> {
-        let (query_side, answer_side) = RecordSide::of(direction, input_idx);
-        let granularity = self.strategy.granularity;
-        let out_cells = self.out_shape.num_cells() as u64;
-        // One densified clone per query turns the per-entry membership probes
-        // into O(1) word tests; the few-KiB promotion amortises over the scan.
-        let probes: Vec<CellSet> = queries
-            .iter()
-            .map(|&query| {
-                let mut probe = CellSet::clone(query);
-                probe.densify();
-                probe
-            })
-            .collect();
-        let mut outs: Vec<LookupOutcome> = queries.iter().map(|_| empty_outcome()).collect();
-        // Hits gather in flat per-query lists, merged into the answer sets once
-        // they outgrow them (`absorb`) and at the end.
-        let mut covered: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        let mut result: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        // A well-formed store's entry ids are dense below `next_entry_id`, and
-        // it holds at least as many keys as entries.
-        let dense_ids = self.next_entry_id.min(self.db.len() as u64) as usize;
-        let mut hits = EntryHits::new(queries.len(), dense_ids);
-        let mut frame = ScanFrame::default();
-        let (mut ids, mut named) = (Vec::new(), vec![0u64; hits.words]);
-        let mut deferred: Vec<(u64, u64)> = Vec::new();
-        let mut fetched = 0usize;
-        self.db.scan_slices(SCAN_BLOCK, &mut |block| {
-            for &(key, value) in block {
-                let cell = match decode_key_linear(out_cells, in_cells, key) {
-                    Ok(DecodedKeyLinear::Entry(id)) => {
-                        fetched += (granularity == Granularity::Many) as usize;
-                        let mask = hits.insert(id);
-                        frame.clear();
-                        let Ok(runs) = decode_full_entry_frame(
-                            &mut frame, out_cells, in_cells, input_idx, value,
-                        ) else {
-                            continue;
-                        };
-                        let cells = frame.run(query_side.run(runs));
-                        for (q, probe) in probes.iter().enumerate() {
-                            if probe.intersect_sorted(cells, |c| covered[q].push(c)) {
-                                mask[q / 64] |= 1 << (q % 64);
-                                if granularity == Granularity::Many {
-                                    result[q].extend_from_slice(frame.run(answer_side.run(runs)));
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    _ if granularity == Granularity::Many => continue,
-                    Ok(DecodedKeyLinear::OutCell(cell)) if answer_side == RecordSide::Out => cell,
-                    Ok(DecodedKeyLinear::InCell {
-                        input_idx: i,
-                        index,
-                    }) if answer_side == RecordSide::In(i) => index,
-                    _ => continue,
-                };
-                // A torn id list decodes to no ids.
-                ids.clear();
-                let _ = decode_entry_ids_into(&mut ids, value);
-                named.fill(0);
-                for &id in &ids {
-                    match hits.get(id) {
-                        Some(mask) => {
-                            fetched += 1;
-                            named.iter_mut().zip(mask).for_each(|(n, m)| *n |= m);
-                        }
-                        None => deferred.push((cell, id)),
-                    }
-                }
-                for_each_bit(&named, |q| result[q].push(cell));
-            }
-            for (q, out) in outs.iter_mut().enumerate() {
-                absorb(&mut out.covered, &mut covered[q]);
-                absorb(&mut out.result, &mut result[q]);
-            }
-        });
-        for (cell, id) in deferred {
-            if let Some(mask) = hits.get(id) {
-                fetched += 1;
-                for_each_bit(mask, |q| result[q].push(cell));
-            }
-        }
-        for (q, out) in outs.iter_mut().enumerate() {
-            out.entries_fetched = fetched;
-            insert_all(&mut out.covered, &mut covered[q]);
-            insert_all(&mut out.result, &mut result[q]);
-        }
-        outs
     }
 }
 
@@ -1585,153 +1046,6 @@ fn fan_out<S: Send>(
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Adds the cells of `cells` that `query` contains to `covered`, returning
-/// whether there were any.
-fn cover(covered: &mut CellSet, cells: &[Coord], query: &CellSet) -> bool {
-    let mut hit = false;
-    for c in cells.iter().filter(|c| query.contains(c)) {
-        covered.insert(c);
-        hit = true;
-    }
-    hit
-}
-
-/// Merges a join's accumulated linear indices into `set` at once, leaving
-/// `idxs` empty (with its allocation) for the next query.
-fn insert_all(set: &mut CellSet, idxs: &mut Vec<u64>) {
-    idxs.sort_unstable();
-    idxs.dedup();
-    set.insert_sorted(idxs);
-    idxs.clear();
-}
-
-/// One side of a stored region pair: its output cells, or the cells of one
-/// input.  A lookup reads its query cells on one side and answers with the
-/// other — output cells and input `input_idx` backward, the reverse forward
-/// — and a mismatched-direction scan joins on the cell-keyed records of the
-/// answer side (the side the store is indexed on).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RecordSide {
-    /// The output cells.
-    Out,
-    /// The cells of the given input.
-    In(usize),
-}
-
-impl RecordSide {
-    /// The `(query, answer)` sides of a lookup in `direction` about input
-    /// `input_idx`.
-    fn of(direction: Direction, input_idx: usize) -> (RecordSide, RecordSide) {
-        match direction {
-            Direction::Backward => (RecordSide::Out, RecordSide::In(input_idx)),
-            Direction::Forward => (RecordSide::In(input_idx), RecordSide::Out),
-        }
-    }
-
-    /// The shape of this side's array.
-    fn shape(self, out_shape: &Shape, in_shapes: &[Shape]) -> Shape {
-        match self {
-            RecordSide::Out => *out_shape,
-            RecordSide::In(i) => in_shapes[i],
-        }
-    }
-
-    /// The key of this side's cell record for the cell at linear index
-    /// `index`.
-    fn packed_key(self, index: u64) -> PackedCellKey {
-        match self {
-            RecordSide::Out => PackedCellKey::out_linear(index),
-            RecordSide::In(i) => PackedCellKey::in_linear(i, index),
-        }
-    }
-
-    /// This side's run of a columnar-decoded entry.
-    fn run(self, runs: FullEntryRuns) -> CellRun {
-        match self {
-            RecordSide::Out => runs.outcells,
-            RecordSide::In(_) => runs.incells,
-        }
-    }
-}
-
-/// Per-query hit bits of every entry a scan has decoded: bit `q` of an
-/// entry's mask is set when the entry's query-side cells meet query `q`.
-///
-/// Ids below the store's next entry id — every id a well-formed log holds —
-/// index a dense table; any other id falls back to a map, so a corrupt log
-/// is answered as it always was.
-struct EntryHits {
-    /// Mask words per entry: one bit per query.
-    words: usize,
-    /// `words` per dense id, back to back.
-    dense: Vec<u64>,
-    /// Whether the dense id's entry record has been scanned.
-    seen: Vec<bool>,
-    /// Masks of scanned ids at or past the dense range.
-    sparse: FxHashMap<u64, Box<[u64]>>,
-}
-
-impl EntryHits {
-    fn new(queries: usize, dense_ids: usize) -> Self {
-        let words = queries.div_ceil(64);
-        EntryHits {
-            words,
-            dense: vec![0; dense_ids * words],
-            seen: vec![false; dense_ids],
-            sparse: FxHashMap::default(),
-        }
-    }
-
-    /// The dense slot of entry `id`, if it has one.
-    fn slot(&self, id: u64) -> Option<usize> {
-        usize::try_from(id).ok().filter(|&i| i < self.seen.len())
-    }
-
-    /// Marks entry `id` scanned and returns its mask.
-    fn insert(&mut self, id: u64) -> &mut [u64] {
-        let words = self.words;
-        match self.slot(id) {
-            Some(i) => {
-                self.seen[i] = true;
-                &mut self.dense[i * words..][..words]
-            }
-            None => self
-                .sparse
-                .entry(id)
-                .or_insert_with(|| vec![0; words].into()),
-        }
-    }
-
-    /// The mask of entry `id`, `None` until its entry record is scanned.
-    fn get(&self, id: u64) -> Option<&[u64]> {
-        match self.slot(id) {
-            Some(i) => self.seen[i].then(|| &self.dense[i * self.words..][..self.words]),
-            None => self.sparse.get(&id).map(|mask| &mask[..]),
-        }
-    }
-}
-
-/// Calls `f` with the index of every bit set in `mask`.
-fn for_each_bit(mask: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in mask.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            f(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-}
-
-/// [`insert_all`] once `idxs` holds more cells than `set` (and a block's
-/// worth): a join's hit lists then stay within a constant factor of its
-/// answers, however often stored regions repeat cells, and the merges cost
-/// amortised O(1) per hit.
-fn absorb(set: &mut CellSet, idxs: &mut Vec<u64>) {
-    if idxs.len() > set.len().max(SCAN_BLOCK) {
-        insert_all(set, idxs);
-    }
 }
 
 /// Entry ids whose key-side bounding box intersects any query cell,
@@ -1769,8 +1083,8 @@ fn candidate_entries(tree: Option<&RTree>, query: &CellSet) -> Vec<u64> {
 impl std::fmt::Debug for OpDatastore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OpDatastore")
-            .field("strategy", &self.strategy.label())
-            .field("pairs", &self.pairs_stored)
+            .field("strategy", &self.base.strategy.label())
+            .field("pairs", &self.base.pairs_stored)
             .field("bytes", &self.bytes_used())
             .finish()
     }
@@ -2006,7 +1320,7 @@ mod tests {
         // PayOne stores 8 copies of the payload; PayMany stores one entry
         // (plus the R-tree).  The hash-entry bytes alone must be larger for
         // PayOne.
-        assert!(one.db.bytes_used() > many.db.bytes_used());
+        assert!(one.base.db.bytes_used() > many.base.db.bytes_used());
         assert_eq!(one.num_entries(), 8);
         assert_eq!(many.num_entries(), 1);
     }
@@ -2025,7 +1339,7 @@ mod tests {
         one.store_pair(&pair);
         many.store_pair(&pair);
         assert!(one.num_entries() > many.num_entries());
-        assert!(one.db.bytes_used() > many.db.bytes_used());
+        assert!(one.base.db.bytes_used() > many.base.db.bytes_used());
     }
 
     #[test]
@@ -2589,25 +1903,26 @@ mod tests {
         let m = meta();
         let op = RadiusOp;
         for (i, strategy) in all_strategies().iter().enumerate() {
-            if !strategy.stores_pairs() {
-                continue;
-            }
             let path = dir.join(format!("s{i}.kv"));
             let mut ds = reopen(&path, *strategy, &m);
             ds.store_batch(&mixed_pairs(), 2);
             ds.finish_ingest();
-            let (pairs, cells, next) = (ds.pairs_stored, ds.cells_stored, ds.next_entry_id);
+            let (pairs, cells, next) = (
+                ds.base.pairs_stored,
+                ds.base.cells_stored,
+                ds.base.next_entry_id,
+            );
             let expected = probe_answers(&mut ds, &op, &m);
             drop(ds);
             let sidecar = dir.join(format!("s{i}.kv.idx"));
             assert!(sidecar.exists(), "finish_ingest persists the sidecar");
 
             let mut back = reopen(&path, *strategy, &m);
-            assert_eq!(back.pairs_stored, pairs, "strategy {strategy}");
-            assert_eq!(back.cells_stored, cells, "strategy {strategy}");
-            assert_eq!(back.next_entry_id, next, "strategy {strategy}");
+            assert_eq!(back.base.pairs_stored, pairs, "strategy {strategy}");
+            assert_eq!(back.base.cells_stored, cells, "strategy {strategy}");
+            assert_eq!(back.base.next_entry_id, next, "strategy {strategy}");
             assert!(
-                back.rtree_staged.is_empty(),
+                back.base.rtree_staged.is_empty(),
                 "sidecar load must not leave staged entries"
             );
             assert_eq!(
@@ -2643,13 +1958,49 @@ mod tests {
         assert_ne!(first, second);
         assert!(ds.compact().unwrap() > 0, "delta chains to fold");
         assert_ne!(std::fs::read(&sidecar).unwrap(), second);
-        let cells = ds.cells_stored;
+        let cells = ds.base.cells_stored;
         drop(ds);
         // The rewritten sidecar describes the dense log: a reopen loads it
         // (a rebuild from the log undercounts FullOne's cells).
         let back = reopen(&path, StorageStrategy::full_one(), &m);
-        assert_eq!(back.cells_stored, cells);
+        assert_eq!(back.base.cells_stored, cells);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn missing_sidecar_rebuilds_every_strategy_from_log() {
+        // The rebuild derives each layout's index from its entry records:
+        // R-tree boxes on the indexed side for the `Many` layouts, nothing
+        // for the `One` layouts, whose cell records are the index.
+        let dir =
+            std::env::temp_dir().join(format!("subzero-ds-rebuild-all-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (m, op) = (meta(), RadiusOp);
+        for (i, strategy) in all_strategies().into_iter().enumerate() {
+            let path = dir.join(format!("s{i}.kv"));
+            let mut ds = reopen(&path, strategy, &m);
+            ds.store_batch(&mixed_pairs(), 2);
+            ds.finish_ingest();
+            let next = ds.base.next_entry_id;
+            let expected = probe_answers(&mut ds, &op, &m);
+            drop(ds);
+            std::fs::remove_file(dir.join(format!("s{i}.kv.idx"))).unwrap();
+            let mut back = reopen(&path, strategy, &m);
+            assert_eq!(back.base.next_entry_id, next, "strategy {strategy}");
+            assert_eq!(
+                probe_answers(&mut back, &op, &m),
+                expected,
+                "strategy {strategy}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "stores no region pairs")]
+    fn strategies_without_pairs_have_no_datastore() {
+        OpDatastore::in_memory("t", StorageStrategy::mapping(), &meta());
     }
 
     #[test]
@@ -2665,14 +2016,14 @@ mod tests {
         let mut ds = reopen(&path, strategy, &m);
         ds.store_batch(&mixed_pairs(), 2);
         ds.finish_ingest();
-        let next = ds.next_entry_id;
+        let next = ds.base.next_entry_id;
         let expected = probe_answers(&mut ds, &op, &m);
         drop(ds);
 
         // Deleted sidecar: reopen rebuilds index + entry ids from the log.
         std::fs::remove_file(&sidecar).unwrap();
         let mut back = reopen(&path, strategy, &m);
-        assert_eq!(back.next_entry_id, next);
+        assert_eq!(back.base.next_entry_id, next);
         assert_eq!(probe_answers(&mut back, &op, &m), expected);
         drop(back);
 
@@ -2690,7 +2041,7 @@ mod tests {
         ] {
             std::fs::write(&sidecar, &corrupt).unwrap();
             let mut back = reopen(&path, strategy, &m);
-            assert_eq!(back.next_entry_id, next);
+            assert_eq!(back.base.next_entry_id, next);
             assert_eq!(probe_answers(&mut back, &op, &m), expected);
             drop(back);
         }
@@ -2703,10 +2054,10 @@ mod tests {
                               // rewritten — exactly the crash-mid-ingest window.
         grow.store_batch(&[full_pair(&[Coord::d2(7, 0)], &[Coord::d2(0, 7)], &[])], 1);
         let expected_grown = probe_answers(&mut grow, &op, &m);
-        let next_grown = grow.next_entry_id;
+        let next_grown = grow.base.next_entry_id;
         drop(grow);
         let mut back = reopen(&path, strategy, &m);
-        assert_eq!(back.next_entry_id, next_grown);
+        assert_eq!(back.base.next_entry_id, next_grown);
         assert_eq!(probe_answers(&mut back, &op, &m), expected_grown);
 
         // Ingest continues cleanly after a rebuild-recovered reopen.

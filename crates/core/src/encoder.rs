@@ -139,51 +139,10 @@ impl std::hash::Hash for PackedCellKey {
     }
 }
 
-/// Classification of a raw datastore key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodedKey {
-    /// A shared entry record.
-    Entry(u64),
-    /// A backward (output-cell) record.
-    OutCell(Coord),
-    /// A forward (input-cell) record for the given input index.
-    InCell {
-        /// Which input array the cell belongs to.
-        input_idx: usize,
-        /// The input cell.
-        cell: Coord,
-    },
-}
-
-/// Decodes a raw key back into its meaning, given the operator's shapes.
-pub fn decode_key(
-    out_shape: &Shape,
-    in_shapes: &[Shape],
-    key: &[u8],
-) -> Result<DecodedKey, CodecError> {
-    match key.first() {
-        Some(&tag::ENTRY) => Ok(DecodedKey::Entry(codec::decode_fixed_u64(&key[1..])?)),
-        Some(&tag::OUT_CELL) => {
-            let packed = codec::decode_fixed_u64(&key[1..])?;
-            Ok(DecodedKey::OutCell(codec::unpack_coord(out_shape, packed)?))
-        }
-        Some(&tag::IN_CELL) => {
-            let input_idx = *key.get(1).ok_or(CodecError::UnexpectedEof)? as usize;
-            let packed = codec::decode_fixed_u64(&key[2..])?;
-            let shape = in_shapes.get(input_idx).ok_or(CodecError::UnexpectedEof)?;
-            Ok(DecodedKey::InCell {
-                input_idx,
-                cell: codec::unpack_coord(shape, packed)?,
-            })
-        }
-        _ => Err(CodecError::UnexpectedEof),
-    }
-}
-
-/// Linear-index classification of a raw datastore key: the columnar scan
-/// counterpart of [`DecodedKey`] — same accept/reject behaviour, but cells
-/// stay packed (bounds-checked against the shapes' cell counts) so the scan
-/// join never unravels a coordinate.
+/// Classification of a raw datastore key.  Cells stay packed as linear
+/// indices, bounds-checked against the shapes' cell counts, so a scan never
+/// unravels a coordinate it does not need
+/// ([`codec::unpack_coord`] turns one back into a [`Coord`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodedKeyLinear {
     /// A shared entry record.
@@ -463,24 +422,23 @@ mod tests {
     #[test]
     fn key_roundtrips() {
         let (out_shape, in_shapes) = shapes();
-        let ek = entry_key(42);
-        assert_eq!(
-            decode_key(&out_shape, &in_shapes, &ek).unwrap(),
-            DecodedKey::Entry(42)
-        );
-        let ok = out_cell_key(&out_shape, &Coord::d2(3, 4));
-        assert_eq!(
-            decode_key(&out_shape, &in_shapes, &ok).unwrap(),
-            DecodedKey::OutCell(Coord::d2(3, 4))
-        );
-        let ik = in_cell_key(&in_shapes[1], 1, &Coord::d2(2, 2));
-        assert_eq!(
-            decode_key(&out_shape, &in_shapes, &ik).unwrap(),
-            DecodedKey::InCell {
-                input_idx: 1,
-                cell: Coord::d2(2, 2)
-            }
-        );
+        let out_cells = out_shape.num_cells() as u64;
+        let in_cells: Vec<u64> = in_shapes.iter().map(|s| s.num_cells() as u64).collect();
+        let decode = |key: &[u8]| decode_key_linear(out_cells, &in_cells, key).unwrap();
+        assert_eq!(decode(&entry_key(42)), DecodedKeyLinear::Entry(42));
+        let cell = Coord::d2(3, 4);
+        let DecodedKeyLinear::OutCell(index) = decode(&out_cell_key(&out_shape, &cell)) else {
+            panic!("an output-cell key");
+        };
+        assert_eq!(codec::unpack_coord(&out_shape, index).unwrap(), cell);
+        let cell = Coord::d2(2, 2);
+        let DecodedKeyLinear::InCell { input_idx, index } =
+            decode(&in_cell_key(&in_shapes[1], 1, &cell))
+        else {
+            panic!("an input-cell key");
+        };
+        assert_eq!(input_idx, 1);
+        assert_eq!(codec::unpack_coord(&in_shapes[1], index).unwrap(), cell);
     }
 
     #[test]
@@ -574,40 +532,6 @@ mod tests {
         let before = frame.len();
         assert!(decode_full_entry_frame(&mut frame, out_cells, &in_cells, 0, &corrupt).is_err());
         assert_eq!(frame.len(), before, "failed decode left cells behind");
-    }
-
-    #[test]
-    fn linear_key_decode_matches_decode_key() {
-        let (out_shape, in_shapes) = shapes();
-        let out_cells = out_shape.num_cells() as u64;
-        let in_cells: Vec<u64> = in_shapes.iter().map(|s| s.num_cells() as u64).collect();
-        for key in [
-            entry_key(42),
-            out_cell_key(&out_shape, &Coord::d2(3, 4)),
-            in_cell_key(&in_shapes[1], 1, &Coord::d2(2, 2)),
-        ] {
-            let linear = decode_key_linear(out_cells, &in_cells, &key).unwrap();
-            match decode_key(&out_shape, &in_shapes, &key).unwrap() {
-                DecodedKey::Entry(id) => assert_eq!(linear, DecodedKeyLinear::Entry(id)),
-                DecodedKey::OutCell(c) => assert_eq!(
-                    linear,
-                    DecodedKeyLinear::OutCell(codec::pack_coord(&out_shape, &c))
-                ),
-                DecodedKey::InCell { input_idx, cell } => assert_eq!(
-                    linear,
-                    DecodedKeyLinear::InCell {
-                        input_idx,
-                        index: codec::pack_coord(&in_shapes[input_idx], &cell),
-                    }
-                ),
-            }
-        }
-        // Rejection parity with decode_key.
-        assert!(decode_key_linear(out_cells, &in_cells, &[]).is_err());
-        assert!(decode_key_linear(out_cells, &in_cells, b"zzzz").is_err());
-        let mut bad = in_cell_key(&in_shapes[0], 0, &Coord::d2(0, 0));
-        bad[1] = 9;
-        assert!(decode_key_linear(out_cells, &in_cells, &bad).is_err());
     }
 
     #[test]
@@ -736,11 +660,16 @@ mod tests {
     #[test]
     fn decode_key_rejects_garbage() {
         let (out_shape, in_shapes) = shapes();
-        assert!(decode_key(&out_shape, &in_shapes, &[]).is_err());
-        assert!(decode_key(&out_shape, &in_shapes, b"zzzz").is_err());
+        let out_cells = out_shape.num_cells() as u64;
+        let in_cells: Vec<u64> = in_shapes.iter().map(|s| s.num_cells() as u64).collect();
+        assert!(decode_key_linear(out_cells, &in_cells, &[]).is_err());
+        assert!(decode_key_linear(out_cells, &in_cells, b"zzzz").is_err());
         // An in-cell key referencing a non-existent input index fails.
         let mut bad = in_cell_key(&in_shapes[0], 0, &Coord::d2(0, 0));
         bad[1] = 9;
-        assert!(decode_key(&out_shape, &in_shapes, &bad).is_err());
+        assert!(decode_key_linear(out_cells, &in_cells, &bad).is_err());
+        // So does a cell past the end of its array.
+        let past = PackedCellKey::in_linear(1, in_cells[1]).to_bytes();
+        assert!(decode_key_linear(out_cells, &in_cells, &past).is_err());
     }
 }

@@ -1546,7 +1546,8 @@ mod tests {
     use std::sync::Arc;
     use subzero_array::{Array, Shape};
     use subzero_engine::ops::{
-        AggregateKind, BinaryKind, Convolve, Elementwise1, Elementwise2, GlobalAggregate, UnaryKind,
+        AggregateKind, BinaryKind, Convolve, Elementwise1, Elementwise2, GlobalAggregate,
+        Transpose, UnaryKind,
     };
     use subzero_engine::Workflow;
 
@@ -1769,18 +1770,31 @@ mod tests {
         }
     }
 
-    /// A diamond workflow whose two branches have different lineage
-    /// footprints: src -> scale -> {blur, shift-free scale} -> mean2.
+    /// A diamond workflow whose two branches send a cell to different
+    /// places: src -> scale -> {transpose, offset} -> mean2, on a square
+    /// array.  Off the diagonal, the branches' per-path answers are disjoint,
+    /// so an answer that loses either branch differs from their union.
     fn diamond() -> (Arc<Workflow>, HashMap<String, Array>) {
         let mut b = Workflow::builder("diamond");
         let a = b.add_source(Arc::new(Elementwise1::new(UnaryKind::Scale(2.0))), "ext");
-        let blur = b.add_unary(Arc::new(Convolve::box_blur(1)), a);
+        let transpose = b.add_unary(Arc::new(Transpose), a);
         let ident = b.add_unary(Arc::new(Elementwise1::new(UnaryKind::Offset(1.0))), a);
-        let _join = b.add_binary(Arc::new(Elementwise2::new(BinaryKind::Mean)), blur, ident);
+        let _join = b.add_binary(
+            Arc::new(Elementwise2::new(BinaryKind::Mean)),
+            transpose,
+            ident,
+        );
         let wf = Arc::new(b.build().unwrap());
         let mut m = HashMap::new();
         m.insert("ext".to_string(), Array::filled(Shape::d2(6, 6), 1.0));
         (wf, m)
+    }
+
+    /// Asserts that two per-path answers are non-empty and share no cell, so
+    /// their union tells which paths an inferred answer took.
+    fn assert_disjoint(a: &CellSet, b: &CellSet, label: &str) {
+        assert!(!a.is_empty() && !b.is_empty(), "empty branch ({label})");
+        assert_eq!(a.intersection_len(b), 0, "the branches overlap ({label})");
     }
 
     #[test]
@@ -1802,21 +1816,22 @@ mod tests {
             rt.set_strategy(strategy);
             let mut engine = Engine::new();
             let run = engine.execute(&wf, &inputs, &mut rt).unwrap();
-            let cells = vec![Coord::d2(2, 2), Coord::d2(3, 4)];
+            // Off-diagonal cells, so the transpose moves every one of them.
+            let cells = vec![Coord::d2(1, 4), Coord::d2(3, 5)];
 
             // Per-path answers through each branch of the join.
             let mut session = QuerySession::new(&engine, &mut rt, &run);
             let back = Direction::Backward;
-            let via_blur =
+            let via_transpose =
                 chained_answer(&mut session, back, cells.clone(), &[(3, 0), (1, 0), (0, 0)]);
             let via_ident =
                 chained_answer(&mut session, back, cells.clone(), &[(3, 1), (2, 0), (0, 0)]);
-            assert_ne!(via_blur, via_ident, "the branches differ ({label})");
-            let mut union = via_blur;
+            assert_disjoint(&via_transpose, &via_ident, label);
+            let mut union = via_transpose;
             union.union_with(&via_ident);
 
             // Forward per-path answers: fan-out then join.
-            let fwd_cells = vec![Coord::d2(2, 2)];
+            let fwd_cells = vec![Coord::d2(0, 2)];
             let fwd = Direction::Forward;
             let mut fwd_union = chained_answer(
                 &mut session,
@@ -1824,12 +1839,14 @@ mod tests {
                 fwd_cells.clone(),
                 &[(0, 0), (1, 0), (3, 0)],
             );
-            fwd_union.union_with(&chained_answer(
+            let fwd_via_ident = chained_answer(
                 &mut session,
                 fwd,
                 fwd_cells.clone(),
                 &[(0, 0), (2, 0), (3, 1)],
-            ));
+            );
+            assert_disjoint(&fwd_union, &fwd_via_ident, label);
+            fwd_union.union_with(&fwd_via_ident);
 
             let inferred = session
                 .backward(cells.clone())

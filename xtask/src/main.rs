@@ -16,7 +16,8 @@
 //!   failure into a wedged runtime.  Use
 //!   `subzero::sync::{lock_or_recover, wait_or_recover}`.
 //! * `hot-loop-timing` — no `Instant::now` in the codec/encode hot paths
-//!   (`crates/array`, `crates/store`, `crates/core/src/encoder.rs`): timing
+//!   (`crates/array`, `crates/store`, `crates/core/src/encoder.rs` and the
+//!   datastore record types `crates/core/src/datastore/{full,pay}.rs`): timing
 //!   belongs to the runtime/statistics layers; a clock read per element
 //!   wrecks arena encode throughput.
 //! * `unsafe-outside-mmap` — `subzero-store` keeps every `unsafe` block in
@@ -191,11 +192,18 @@ fn is_deprecation_checked(path: &str) -> bool {
         && matches!(parts.next(), Some("src" | "tests" | "examples"))
 }
 
-/// Files on the codec/encode hot path, where `hot-loop-timing` applies.
+/// Files on the codec/encode hot path, where `hot-loop-timing` applies:
+/// the codecs, and the datastore's per-record ingest and lookup loops
+/// (`datastore/mod.rs`, which times whole batches, is exempt).
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/array/src/")
         || path.starts_with("crates/store/src/")
-        || path == "crates/core/src/encoder.rs"
+        || matches!(
+            path,
+            "crates/core/src/encoder.rs"
+                | "crates/core/src/datastore/full.rs"
+                | "crates/core/src/datastore/pay.rs"
+        )
 }
 
 // ---------------------------------------------------------------------------
@@ -605,6 +613,22 @@ mod tests {
         );
         // Timing in the runtime layer is fine.
         assert!(lint_rust_source(LIB_PATH, src).is_empty());
+    }
+
+    #[test]
+    fn hot_loop_timing_covers_the_record_types_not_the_batch_clock() {
+        let src = "fn store_batch() { let t = Instant::now(); }\n";
+        for path in [
+            "crates/core/src/datastore/full.rs",
+            "crates/core/src/datastore/pay.rs",
+        ] {
+            assert_eq!(
+                lints_of(&lint_rust_source(path, src)),
+                vec!["hot-loop-timing"],
+                "{path}"
+            );
+        }
+        assert!(lint_rust_source("crates/core/src/datastore/mod.rs", src).is_empty());
     }
 
     #[test]
