@@ -25,12 +25,28 @@ use crate::model::{Direction, Granularity};
 /// decodes into), and the lookup answers from its [`FullEntryRuns`] in
 /// linear-index space: no `Vec<Coord>` per entry, no allocation per record
 /// read once the buffers are warm.
+///
+/// Entries are found by `(entry id, input)` — the input is part of the key
+/// because the frame holds only the queried input's cells — through a
+/// dense table over the ids below the store's next entry id, so resolving
+/// an id hashes nothing; any other id (only a corrupt log holds one) falls
+/// back to a map, as in [`EntryHits`].  A table slot counts only when the
+/// entry it points at carries its key, so emptying `entries` clears the
+/// cache in O(1).
+///
+/// The `One` arm reads a query cell's record only when the store's
+/// [`CellMemo`] lacks it, with the cache of the lookup's first worker,
+/// before the workers start.
 #[derive(Default)]
 struct FullCache {
-    /// `(entry id, input index)` -> (a body existed, its runs in `frame` if
-    /// the body decoded).  The input is part of the key because the frame
-    /// holds only the queried input's cells.
-    runs: FxHashMap<(u64, usize), (bool, Option<FullEntryRuns>)>,
+    /// Slot `id * inputs + input` -> index in `entries`.
+    dense: Vec<u32>,
+    /// The store's input count: the stride of `dense`.
+    inputs: usize,
+    /// `(entry id, input)` -> index in `entries`, for ids past `dense`.
+    sparse: FxHashMap<(u64, usize), u32>,
+    /// Every cached entry, in fetch order.
+    entries: Vec<CachedEntry>,
     /// The cell-index column every cached run points into.
     frame: ScanFrame,
     /// Scratch key of the record being read.
@@ -39,18 +55,54 @@ struct FullCache {
     value: Vec<u8>,
     /// Scratch entry ids of the cell record being read.
     ids: Vec<u64>,
+    /// Entry ids the query's cell records name (one entry is often named
+    /// by many query cells, so ids are deduplicated before their answer
+    /// cells are gathered).
+    named: Vec<u64>,
     /// Covered query cells of the query being answered, merged into the
     /// outcome's set once per query.
     covered: Vec<u64>,
-    /// Answer runs of the entries the query's cell records name (one entry
-    /// is often named by many query cells, so runs are deduplicated before
-    /// their cells are gathered).
-    hits: Vec<CellRun>,
     /// Answer cells of the query being answered, merged like `covered`.
     result: Vec<u64>,
 }
 
+/// One entry of a [`FullCache`].
+#[derive(Clone, Copy)]
+struct CachedEntry {
+    id: u64,
+    input: usize,
+    /// Whether a body exists for the id (for per-query fetch accounting).
+    present: bool,
+    /// The body's runs in the cache's frame, if it decoded.
+    runs: Option<FullEntryRuns>,
+}
+
 impl FullCache {
+    /// Sizes the dense table for a store of `inputs` inputs whose entry ids
+    /// lie below `dense_ids`.  A fresh table is zero-allocated, so its
+    /// untouched pages cost no memory.
+    fn size_for(&mut self, dense_ids: usize, inputs: usize) {
+        self.inputs = inputs;
+        let want = dense_ids.saturating_mul(inputs);
+        if self.dense.is_empty() {
+            self.dense = vec![0; want];
+        } else if self.dense.len() < want {
+            self.dense.resize(want, 0);
+        }
+    }
+
+    /// The dense slot of `(id, input_idx)`, if it has one.
+    fn dense_slot(&self, id: u64, input_idx: usize) -> Option<usize> {
+        if input_idx >= self.inputs {
+            return None;
+        }
+        let slot = usize::try_from(id)
+            .ok()?
+            .checked_mul(self.inputs)?
+            .checked_add(input_idx)?;
+        (slot < self.dense.len()).then_some(slot)
+    }
+
     /// Whether a body exists for entry `id` (for per-query fetch accounting)
     /// and its runs for input `input_idx`, fetching and decoding on first
     /// use.  Reads go through [`Database::peek_into`] so caches can live on
@@ -64,33 +116,206 @@ impl FullCache {
         in_cells: &[u64],
         input_idx: usize,
     ) -> (bool, Option<FullEntryRuns>) {
-        if let Some(&slot) = self.runs.get(&(id, input_idx)) {
-            return slot;
+        let slot = self.dense_slot(id, input_idx);
+        let index = match slot {
+            Some(slot) => Some(self.dense[slot]),
+            None => self.sparse.get(&(id, input_idx)).copied(),
+        };
+        if let Some(e) = index.and_then(|k| self.entries.get(k as usize)) {
+            if e.id == id && e.input == input_idx {
+                return (e.present, e.runs);
+            }
         }
         self.key.clear();
         encoder::entry_key_into(&mut self.key, id);
-        let slot = if db.peek_into(&self.key, &mut self.value) {
-            let runs = decode_full_entry_frame(
-                &mut self.frame,
-                out_cells,
-                in_cells,
-                input_idx,
-                &self.value,
-            );
-            (true, runs.ok())
-        } else {
-            (false, None)
-        };
-        self.runs.insert((id, input_idx), slot);
-        slot
+        let present = db.peek_into(&self.key, &mut self.value);
+        let runs = present
+            .then(|| {
+                decode_full_entry_frame(
+                    &mut self.frame,
+                    out_cells,
+                    in_cells,
+                    input_idx,
+                    &self.value,
+                )
+                .ok()
+            })
+            .flatten();
+        if let Ok(k) = u32::try_from(self.entries.len()) {
+            self.entries.push(CachedEntry {
+                id,
+                input: input_idx,
+                present,
+                runs,
+            });
+            match slot {
+                Some(slot) => self.dense[slot] = k,
+                None => {
+                    self.sparse.insert((id, input_idx), k);
+                }
+            }
+        }
+        (present, runs)
+    }
+
+    /// Reads the record of query cell `qc` on `side` into `ids` and returns
+    /// whether it exists and how many of the entries it names have bodies.
+    fn read_cell(
+        &mut self,
+        db: &Database,
+        side: RecordSide,
+        qc: u64,
+        out_cells: u64,
+        in_cells: &[u64],
+        input_idx: usize,
+    ) -> (bool, usize) {
+        self.key.clear();
+        side.packed_key(qc).write_into(&mut self.key);
+        let exists = db.peek_into(&self.key, &mut self.value);
+        self.ids.clear();
+        if exists {
+            // A torn id list decodes to no ids.
+            let _ = decode_entry_ids_into(&mut self.ids, &self.value);
+        }
+        let mut fetched = 0;
+        for k in 0..self.ids.len() {
+            fetched += self
+                .entry(db, self.ids[k], out_cells, in_cells, input_idx)
+                .0 as usize;
+        }
+        (exists, fetched)
     }
 
     /// Forgets every cached entry (keeping the allocations): a cached "no
     /// body for this id" miss can be invalidated by a later write of that
     /// entry id.
     fn clear(&mut self) {
-        self.runs.clear();
+        self.entries.clear();
+        self.sparse.clear();
         self.frame.clear();
+    }
+}
+
+/// What the indexed `One` arm read from the cell records of one query side
+/// (a backward store's output cells, or one input's cells of a forward
+/// store), shared by every worker of the store's lookups: per query cell,
+/// whether its record exists, how many of the entries it names have bodies
+/// and their ids — exactly what reading the record produces, a torn id
+/// list's empty one included.  A warm query cell costs one table read and
+/// one copy of its ids instead of a record read, an id decode and a probe
+/// per id.  A lookup reads the records of its cold query cells before its
+/// workers start, so the workers share the memo read-only and keep no log
+/// of their own.
+///
+/// The table holds one `u32` per query-side cell, zero-allocated on the
+/// first lookup, so a store never looked up allocates nothing and only the
+/// pages of read cells become resident.  A missing record and a record
+/// naming one entry with a body — the common case — live in the slot
+/// itself; any other record adds 12 bytes plus 4 per id.  Clearing drops
+/// the table, in O(1).
+#[derive(Default)]
+struct CellMemo {
+    /// Query cell (linear index) -> [`UNREAD`], [`ABSENT`], `2 * id + 3`
+    /// for a record naming only entry `id`, which has a body, or
+    /// `2 * k + 2` for `reads[k]`.
+    slots: Vec<u32>,
+    /// The records no slot holds inline, in read order.
+    reads: Vec<CellRead>,
+    /// Their entry ids, back to back (entry ids of a store with fewer
+    /// than 2^32 entries fit).
+    ids: Vec<u32>,
+}
+
+/// A [`CellMemo`] slot whose cell has not been read.
+const UNREAD: u32 = 0;
+/// A [`CellMemo`] slot whose cell has no record.
+const ABSENT: u32 = 1;
+
+/// A memoised cell record that exists and is not held inline.
+#[derive(Clone, Copy)]
+struct CellRead {
+    /// How many of the named entries have bodies.
+    fetched: u32,
+    /// Where the record's entry ids start in the memo's `ids`.
+    start: u32,
+    /// How many entry ids the record names.
+    len: u32,
+}
+
+impl CellMemo {
+    /// Allocates the table for a query side of `cells` cells, unless it
+    /// exists.
+    fn size_for(&mut self, cells: u64) {
+        if self.slots.is_empty() {
+            self.slots = vec![UNREAD; cells as usize];
+        }
+    }
+
+    /// Whether query cell `cell` lies in the table and has not been read.
+    fn is_unread(&self, cell: u64) -> bool {
+        usize::try_from(cell).is_ok_and(|c| self.slots.get(c) == Some(&UNREAD))
+    }
+
+    /// Appends the entry ids memoised for query cell `cell` to `named` and
+    /// returns whether its record exists and how many of those entries
+    /// have bodies; `None` if the cell has not been read.
+    fn lookup(&self, cell: u64, named: &mut Vec<u64>) -> Option<(bool, usize)> {
+        match *self.slots.get(usize::try_from(cell).ok()?)? {
+            UNREAD => None,
+            ABSENT => Some((false, 0)),
+            slot if slot & 1 == 1 => {
+                named.push(u64::from(slot / 2 - 1));
+                Some((true, 1))
+            }
+            slot => {
+                let read = self.reads[(slot / 2 - 1) as usize];
+                let ids = &self.ids[read.start as usize..][..read.len as usize];
+                named.extend(ids.iter().map(|&id| u64::from(id)));
+                Some((true, read.fetched as usize))
+            }
+        }
+    }
+
+    /// Records what reading the record of `cell`, an unread cell of the
+    /// table, produced.  A record too large for the `u32` fields is not
+    /// memoised, which only costs a later re-read.
+    fn insert(&mut self, cell: u64, exists: bool, fetched: usize, ids: &[u64]) {
+        let inline = match *ids {
+            _ if !exists => Some(ABSENT),
+            [id] if fetched == 1 => u32::try_from(id)
+                .ok()
+                .and_then(|id| id.checked_add(1)?.checked_mul(2)?.checked_add(1)),
+            _ => None,
+        };
+        if let Some(slot) = inline.or_else(|| self.push_read(fetched, ids)) {
+            self.slots[cell as usize] = slot;
+        }
+    }
+
+    /// Appends a record to `reads`, returning its slot value.
+    fn push_read(&mut self, fetched: usize, ids: &[u64]) -> Option<u32> {
+        let slot = u32::try_from(self.reads.len())
+            .ok()?
+            .checked_add(1)?
+            .checked_mul(2)?;
+        let read = CellRead {
+            fetched: u32::try_from(fetched).ok()?,
+            start: u32::try_from(self.ids.len()).ok()?,
+            len: u32::try_from(ids.len()).ok()?,
+        };
+        if ids.iter().any(|&id| u32::try_from(id).is_err()) {
+            return None;
+        }
+        self.reads.push(read);
+        self.ids.extend(ids.iter().map(|&id| id as u32));
+        Some(slot)
+    }
+
+    /// Forgets every record, dropping the table.
+    fn clear(&mut self) {
+        self.slots = Vec::new();
+        self.reads.clear();
+        self.ids.clear();
     }
 }
 
@@ -101,12 +326,18 @@ pub(super) struct FullRecords {
     /// of a fanned-out lookup always runs with cache `i`, so repeat batches
     /// against an unchanged store hit warm caches and reuse warm buffers.
     caches: Vec<FullCache>,
+    /// The `One` arm's cell-record memos, one per query side: index 0 for
+    /// a backward store's output cells, index `i` for input `i`'s cells of
+    /// a forward store.
+    memos: Vec<CellMemo>,
 }
 
 impl FullRecords {
-    /// Drops every cached decoded entry; every write calls this.
+    /// Drops every cached decoded entry and memoised cell record; every
+    /// write and every compaction calls this.
     pub(super) fn clear_caches(&mut self) {
         self.caches.iter_mut().for_each(FullCache::clear);
+        self.memos.iter_mut().for_each(CellMemo::clear);
     }
 
     /// [`OpDatastore::store_batch`](super::OpDatastore::store_batch) for
@@ -140,7 +371,7 @@ impl FullRecords {
         // The input side of an entry that omits it: empty cell lists, built
         // once, not once per pair.
         let empty_incells: Vec<Vec<Coord>> = vec![Vec::new(); in_shapes.len()];
-        let shards = encode_shards(&work, workers, |&(outcells, incells), shard| {
+        let shards = encode_shards(&work, workers, true, |&(outcells, incells), shard| {
             encoder::encode_full_entry_into(
                 shard.bodies.buf_mut(),
                 out_shape,
@@ -188,51 +419,77 @@ impl FullRecords {
         let db = &store.db;
         let rtree = store.rtree.as_ref();
         let empty_outcome = |scanned| store.empty_outcome(direction, input_idx, scanned);
-        let (out_cells, in_cells) = store.cell_counts();
-        let in_cells = &in_cells[..];
+        let (out_cells, in_cells) = (store.out_cells, &store.in_cells[..]);
         if !store.strategy.serves(direction) {
-            return scan_join_full(store, queries, direction, input_idx, in_cells, || {
-                empty_outcome(true)
-            });
+            return scan_join_full(store, queries, direction, input_idx, || empty_outcome(true));
         }
         let caches = cache_shards(&mut self.caches, store.workers, queries.len());
+        for cache in caches.iter_mut() {
+            cache.size_for(store.dense_entry_ids(), in_cells.len());
+        }
         // Both arms answer in linear-index space from the worker's columnar
         // cache, like the scan join: hits collect in the cache's flat scratch
         // lists and each answer set is built once.
         match store.strategy.granularity {
-            Granularity::One => fan_out(queries, caches, |cache, query| {
-                let mut out = empty_outcome(false);
-                for qc in query.iter_linear() {
+            Granularity::One => {
+                let (side, side_cells) = match query_side {
+                    RecordSide::Out => (0, out_cells),
+                    RecordSide::In(i) => (i, in_cells[i]),
+                };
+                if self.memos.len() <= side {
+                    self.memos.resize_with(side + 1, CellMemo::default);
+                }
+                let memo = &mut self.memos[side];
+                memo.size_for(side_cells);
+                // The memo's cold query cells are read here, once, so the
+                // workers share it read-only.
+                let reader = &mut caches[0];
+                for qc in queries.iter().flat_map(|query| query.iter_linear()) {
                     let qc = qc as u64;
-                    cache.key.clear();
-                    query_side.packed_key(qc).write_into(&mut cache.key);
-                    if !db.peek_into(&cache.key, &mut cache.value) {
-                        continue;
+                    if memo.is_unread(qc) {
+                        let (exists, fetched) =
+                            reader.read_cell(db, query_side, qc, out_cells, in_cells, input_idx);
+                        memo.insert(qc, exists, fetched, &reader.ids);
                     }
-                    cache.covered.push(qc);
-                    // A torn id list decodes to no ids.
-                    cache.ids.clear();
-                    let _ = decode_entry_ids_into(&mut cache.ids, &cache.value);
-                    for k in 0..cache.ids.len() {
-                        let (present, runs) =
-                            cache.entry(db, cache.ids[k], out_cells, in_cells, input_idx);
-                        out.entries_fetched += present as usize;
-                        if let Some(runs) = runs {
-                            cache.hits.push(answer_side.run(runs));
+                }
+                let memo = &*memo;
+                fan_out(queries, caches, |cache, query| {
+                    let mut out = empty_outcome(false);
+                    for qc in query.iter_linear() {
+                        let qc = qc as u64;
+                        let (exists, fetched) = match memo.lookup(qc, &mut cache.named) {
+                            Some(read) => read,
+                            // A record the memo could not hold.
+                            None => {
+                                let read = cache
+                                    .read_cell(db, query_side, qc, out_cells, in_cells, input_idx);
+                                cache.named.extend_from_slice(&cache.ids);
+                                read
+                            }
+                        };
+                        out.entries_fetched += fetched;
+                        if exists {
+                            cache.covered.push(qc);
                         }
                     }
-                }
-                insert_all(&mut out.covered, &mut cache.covered);
-                // Each named entry's answer cells are gathered once.
-                cache.hits.sort_unstable();
-                cache.hits.dedup();
-                for &run in &cache.hits {
-                    cache.result.extend_from_slice(cache.frame.run(run));
-                }
-                cache.hits.clear();
-                insert_all(&mut out.result, &mut cache.result);
-                out
-            }),
+                    insert_all(&mut out.covered, &mut cache.covered);
+                    // Each named entry's answer cells are gathered once.
+                    cache.named.sort_unstable();
+                    cache.named.dedup();
+                    for k in 0..cache.named.len() {
+                        let id = cache.named[k];
+                        if let (_, Some(runs)) = cache.entry(db, id, out_cells, in_cells, input_idx)
+                        {
+                            cache
+                                .result
+                                .extend_from_slice(cache.frame.run(answer_side.run(runs)));
+                        }
+                    }
+                    cache.named.clear();
+                    insert_all(&mut out.result, &mut cache.result);
+                    out
+                })
+            }
             Granularity::Many => fan_out(queries, caches, |cache, query| {
                 let mut out = empty_outcome(false);
                 for id in candidate_entries(rtree, query) {
@@ -276,12 +533,11 @@ fn scan_join_full(
     queries: &[&CellSet],
     direction: Direction,
     input_idx: usize,
-    in_cells: &[u64],
     empty_outcome: impl Fn() -> LookupOutcome,
 ) -> Vec<LookupOutcome> {
     let (query_side, answer_side) = RecordSide::of(direction, input_idx);
     let granularity = store.strategy.granularity;
-    let out_cells = store.out_shape.num_cells() as u64;
+    let (out_cells, in_cells) = (store.out_cells, &store.in_cells[..]);
     // One densified clone per query turns the per-entry membership probes
     // into O(1) word tests; the few-KiB promotion amortises over the scan.
     let probes: Vec<CellSet> = queries
@@ -297,10 +553,7 @@ fn scan_join_full(
     // they outgrow them (`absorb`) and at the end.
     let mut covered: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
     let mut result: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-    // A well-formed store's entry ids are dense below `next_entry_id`, and
-    // it holds at least as many keys as entries.
-    let dense_ids = store.next_entry_id.min(store.db.len() as u64) as usize;
-    let mut hits = EntryHits::new(queries.len(), dense_ids);
+    let mut hits = EntryHits::new(queries.len(), store.dense_entry_ids());
     let mut frame = ScanFrame::default();
     let (mut ids, mut named) = (Vec::new(), vec![0u64; hits.words]);
     let mut deferred: Vec<(u64, u64)> = Vec::new();

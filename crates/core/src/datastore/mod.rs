@@ -65,23 +65,6 @@ pub struct LookupOutcome {
     pub scanned: bool,
 }
 
-/// Write-side key dedup for one ingestion batch.
-///
-/// The per-pair path re-reads and rewrites a hash record on every key
-/// collision ("decode, merge, re-encode"); within a batch that is wasted
-/// work.  The interner coalesces repeated cell keys *before they ever reach
-/// the kv table*: keys stay in their packed integer form
-/// ([`PackedCellKey`] — no allocation, FxHash over one word) until first
-/// touch, at which point the key bytes are materialised once into the
-/// interner's arena.  Every later touch of the same key is a hash probe plus
-/// an in-place append to the staged delta.
-///
-/// Cell-record merges are pure appends (entry-id lists, payload lists), so
-/// the staged values are *deltas*, not full records: nothing is read from
-/// the database while staging, and the batch's single group write
-/// ([`Database::write_group`]) applies every delta behind the entry bodies —
-/// one table probe per distinct key, no value clones, and exactly the bytes
-/// the per-pair path's read-modify-write sequence would have left behind.
 /// Bytes of staged delta stored inline in a [`KeyInterner`] slot.  An
 /// entry-id varint is 1-3 bytes at realistic scales, so the inline buffer
 /// absorbs several touches of a key without any heap allocation; payload
@@ -134,6 +117,23 @@ impl Slot {
     }
 }
 
+/// Write-side key dedup for one ingestion batch.
+///
+/// The per-pair path re-reads and rewrites a hash record on every key
+/// collision ("decode, merge, re-encode"); within a batch that is wasted
+/// work.  The interner coalesces repeated cell keys *before they ever reach
+/// the kv table*: keys stay in their packed integer form
+/// ([`PackedCellKey`] — no allocation, FxHash over one word) until first
+/// touch, at which point the key bytes are materialised once into the
+/// interner's arena.  Every later touch of the same key is a hash probe plus
+/// an in-place append to the staged delta.
+///
+/// Cell-record merges are pure appends (entry-id lists, payload lists), so
+/// the staged values are *deltas*, not full records: nothing is read from
+/// the database while staging, and the batch's single group write
+/// ([`Database::write_group`]) applies every delta behind the entry bodies —
+/// one table probe per distinct key, no value clones, and exactly the bytes
+/// the per-pair path's read-modify-write sequence would have left behind.
 #[derive(Default)]
 struct KeyInterner {
     /// packed key -> index into `slots`.
@@ -203,17 +203,20 @@ struct Shard {
 }
 
 /// Serialises `work` in contiguous shards, one per worker thread (no
-/// per-record allocations, no locks): `encode` writes one pair's entry body,
-/// if its layout has entry records, and pushes its index records.
+/// per-record allocations, no locks): `encode` writes one pair's entry body
+/// when the layout has `entries` (only then are bodies reserved and spans
+/// kept) and pushes its index records.
 fn encode_shards<T: Sync>(
     work: &[T],
     workers: usize,
+    entries: bool,
     encode: impl Fn(&T, &mut Shard) + Sync,
 ) -> Vec<Shard> {
     parallel::parallel_chunks(work, workers, 64, |_, chunk| {
+        let bodies = if entries { chunk.len() } else { 0 };
         let mut shard = Shard {
-            bodies: Arena::with_capacity(chunk.len() * 16),
-            spans: Vec::with_capacity(chunk.len()),
+            bodies: Arena::with_capacity(bodies * 16),
+            spans: Vec::with_capacity(bodies),
             counts: Vec::with_capacity(chunk.len()),
             ..Shard::default()
         };
@@ -221,7 +224,9 @@ fn encode_shards<T: Sync>(
             let start = shard.bodies.begin();
             let before = shard.keys.len() + shard.boxes.len();
             encode(item, &mut shard);
-            shard.spans.push(shard.bodies.finish(start));
+            if entries {
+                shard.spans.push(shard.bodies.finish(start));
+            }
             let after = shard.keys.len() + shard.boxes.len();
             shard.counts.push((after - before) as u32);
         }
@@ -272,6 +277,10 @@ struct Base {
     strategy: StorageStrategy,
     out_shape: Shape,
     in_shapes: Vec<Shape>,
+    /// The cell counts of the output array and of each input array, which
+    /// bound the linear indices [`decode_key_linear`] accepts.
+    out_cells: u64,
+    in_cells: Vec<u64>,
     db: Database,
     rtree: Option<RTree>,
     /// Spatial-index entries captured by the batched path but not yet
@@ -323,6 +332,12 @@ impl OpDatastore {
                 strategy,
                 out_shape: meta.output_shape,
                 in_shapes: meta.input_shapes.clone(),
+                out_cells: meta.output_shape.num_cells() as u64,
+                in_cells: meta
+                    .input_shapes
+                    .iter()
+                    .map(|s| s.num_cells() as u64)
+                    .collect(),
                 db: Database::new(name, backend),
                 rtree: (strategy.granularity == Granularity::Many).then(RTree::new),
                 rtree_staged: Vec::new(),
@@ -826,11 +841,11 @@ impl Base {
         }
     }
 
-    /// The cell counts of the output array and of each input array, which
-    /// bound the linear indices [`decode_key_linear`] accepts.
-    fn cell_counts(&self) -> (u64, Vec<u64>) {
-        let in_cells = self.in_shapes.iter().map(|s| s.num_cells() as u64);
-        (self.out_shape.num_cells() as u64, in_cells.collect())
+    /// How many entry ids a dense per-id table needs: a well-formed store's
+    /// ids lie below `next_entry_id`, and it holds at least as many keys as
+    /// entries.
+    fn dense_entry_ids(&self) -> usize {
+        self.next_entry_id.min(self.db.len() as u64) as usize
     }
 
     /// Drains staged spatial-index entries into the R-tree.  An empty tree is
@@ -961,7 +976,7 @@ impl Base {
     fn rebuild_index_from_scan(&mut self, records: &Records) {
         let out_shape = self.out_shape;
         let in_shapes = &self.in_shapes;
-        let (out_cells, in_cells) = self.cell_counts();
+        let (out_cells, in_cells) = (self.out_cells, &self.in_cells[..]);
         let direction = self.strategy.direction;
         let wants_tree = self.rtree.is_some();
         let mut next_entry_id = 0u64;
@@ -970,7 +985,7 @@ impl Base {
         let mut staged: Vec<(BoundingBox, u64)> = Vec::new();
         self.db.scan_batch(256, &mut |block| {
             for (key, value) in block.iter().map(|(k, v)| (k.as_slice(), v.as_slice())) {
-                let Ok(DecodedKeyLinear::Entry(id)) = decode_key_linear(out_cells, &in_cells, key)
+                let Ok(DecodedKeyLinear::Entry(id)) = decode_key_linear(out_cells, in_cells, key)
                 else {
                     continue;
                 };
@@ -2083,5 +2098,110 @@ mod tests {
         );
         assert_eq!(ds.pairs_stored(), 0);
         assert_eq!(ds.num_entries(), 0);
+    }
+
+    /// Every field of each outcome of `queries` about both inputs, looked
+    /// up in turn on `ds`.
+    fn outcomes(
+        ds: &mut OpDatastore,
+        direction: Direction,
+        queries: &[CellSet],
+    ) -> Vec<(Vec<Coord>, Vec<Coord>, usize, bool)> {
+        (0..2)
+            .flat_map(|input_idx| cold_outcomes(ds, direction, queries, input_idx))
+            .collect()
+    }
+
+    /// Every field of each outcome of one lookup of `queries` about input
+    /// `input_idx`.  On a store with no memoised cell records, the lookup
+    /// reads the record of every query cell.
+    fn cold_outcomes(
+        ds: &mut OpDatastore,
+        direction: Direction,
+        queries: &[CellSet],
+        input_idx: usize,
+    ) -> Vec<(Vec<Coord>, Vec<Coord>, usize, bool)> {
+        let refs: Vec<&CellSet> = queries.iter().collect();
+        ds.lookup_many(direction, &refs, input_idx, &RadiusOp, &meta())
+            .into_iter()
+            .map(|o| {
+                let (result, covered) = (o.result.to_coords(), o.covered.to_coords());
+                (result, covered, o.entries_fetched, o.scanned)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writes_and_compaction_drop_memoised_cell_records() {
+        // A warm `One` lookup answers from the memoised cell records of its
+        // query cells; it, and a lookup after a batch that adds entries to
+        // those cells and a record to one that had none, and one after a
+        // compaction, must each equal a fresh store's cold lookup.
+        let dir = std::env::temp_dir().join(format!("subzero-ds-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = meta();
+        let c = |r, col| Coord::d2(r, col);
+        let first = vec![
+            full_pair(&[c(0, 0), c(0, 1)], &[c(1, 1), c(1, 2)], &[c(7, 7)]),
+            full_pair(&[c(2, 2)], &[c(2, 2)], &[c(3, 3)]),
+        ];
+        // Cell (4, 4) has no record on any side until this batch.
+        let second = vec![
+            full_pair(&[c(0, 1), c(4, 4)], &[c(1, 1), c(4, 4)], &[c(4, 4)]),
+            full_pair(&[c(2, 2)], &[c(0, 0)], &[c(7, 7)]),
+        ];
+        let all = [first.clone(), second.clone()].concat();
+        let shape = Shape::d2(8, 8);
+        let queries = [
+            query_of(shape, &[c(0, 0), c(0, 1)]),
+            query_of(shape, &[c(1, 1), c(2, 2), c(4, 4)]),
+            query_of(shape, &[c(3, 3), c(4, 4), c(7, 7)]),
+        ];
+        for (strategy, direction) in [
+            (StorageStrategy::full_one(), Direction::Backward),
+            (StorageStrategy::full_one_forward(), Direction::Forward),
+        ] {
+            for file in [false, true] {
+                let open = |name: &str| {
+                    let name = format!("{name}_{}", strategy.db_suffix());
+                    if file {
+                        reopen(&dir.join(format!("{name}.kv")), strategy, &m)
+                    } else {
+                        OpDatastore::in_memory(name, strategy, &m)
+                    }
+                };
+                // One fresh store per input, so each reference lookup is
+                // cold.
+                let fresh = |name: &str, pairs: &[RegionPair]| {
+                    let answers = (0..2).flat_map(|input_idx| {
+                        let mut fresh = open(&format!("{name}{input_idx}"));
+                        fresh.store_batch(pairs, 1);
+                        cold_outcomes(&mut fresh, direction, &queries, input_idx)
+                    });
+                    answers.collect::<Vec<_>>()
+                };
+                let (expected_first, expected) = (fresh("first", &first), fresh("all", &all));
+                assert_ne!(expected_first, expected, "the second batch changes answers");
+
+                let label = format!("{strategy}, file backend: {file}");
+                let mut ds = open("memo");
+                ds.set_workers(2);
+                ds.store_batch(&first, 1);
+                assert_eq!(
+                    outcomes(&mut ds, direction, &queries),
+                    expected_first,
+                    "{label}"
+                );
+                let warm = outcomes(&mut ds, direction, &queries);
+                assert_eq!(warm, expected_first, "{label}, warm");
+                ds.store_batch(&second, 1);
+                assert_eq!(outcomes(&mut ds, direction, &queries), expected, "{label}");
+                assert_eq!(ds.compact().unwrap() > 0, file, "{label}");
+                let compacted = outcomes(&mut ds, direction, &queries);
+                assert_eq!(compacted, expected, "{label}, compacted");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -83,7 +83,7 @@ impl PayRecords {
         }
         let out_shape = &store.out_shape;
         let many = store.strategy.granularity == Granularity::Many;
-        let shards = encode_shards(&work, workers, |&(outcells, payload), shard| {
+        let shards = encode_shards(&work, workers, many, |&(outcells, payload), shard| {
             if many {
                 encoder::encode_pay_entry_into(
                     shard.bodies.buf_mut(),
@@ -127,13 +127,13 @@ impl PayRecords {
         let map = |cell: &Coord, payload: &[u8]| op.map_payload(cell, payload, input_idx, meta);
         let empty_outcome = |scanned| store.empty_outcome(direction, input_idx, scanned);
         if !store.strategy.serves(direction) {
-            let (out_cells, in_cells) = store.cell_counts();
+            let (out_cells, in_cells) = (store.out_cells, &store.in_cells[..]);
             let mut outs: Vec<LookupOutcome> =
                 queries.iter().map(|_| empty_outcome(true)).collect();
             let mut fetched = 0usize;
             db.scan_slices(SCAN_BLOCK, &mut |block| {
                 for &(key, value) in block {
-                    let (cells, payloads) = match decode_key_linear(out_cells, &in_cells, key) {
+                    let (cells, payloads) = match decode_key_linear(out_cells, in_cells, key) {
                         Ok(DecodedKeyLinear::OutCell(index)) => {
                             let Ok(cell) = codec::unpack_coord(&out_shape, index) else {
                                 continue;

@@ -1,12 +1,14 @@
 //! Allocation guard for warm indexed `Full` lookups.
 //!
-//! Once a worker's entry cache and its record-read buffers are warm, an
-//! indexed lookup reads each query cell's record into a reused buffer and
-//! answers from cached runs: what it allocates is a per-call constant (the
-//! outcome's two sets, the outcome vector), never a per-cell one.  A counting
-//! global allocator pins that for both indexed directions on a file-backed
-//! store — a `Vec` per record read creeping back into the query loop shows
-//! up here as a thousand allocations.
+//! Once a worker's entry cache, its record-read buffers and the store's
+//! memo of cell records are warm, an indexed lookup answers each query cell
+//! from the memo and cached runs: what it allocates is a per-call constant
+//! (the outcome's two sets, the outcome vector), never a per-cell one.  A
+//! counting global allocator pins that for both indexed directions on a
+//! file-backed two-input store whose lookups alternate between the inputs
+//! — a `Vec` per record read creeping back into the query loop, or a cache
+//! that only stays warm for one input, shows up here as a thousand
+//! allocations.
 //!
 //! The allocator wrapper needs `unsafe impl GlobalAlloc`; `cargo xtask lint`
 //! exempts `tests/` from its `unsafe` confinement.  This file holds exactly
@@ -73,9 +75,10 @@ impl Operator for Identity {
 
 const SIDE: u32 = 64;
 
-/// One region pair per 2x2 output tile, whose input side is the tile's
-/// transpose plus one shared cell: every cell has lineage in both
-/// directions, and query cells share entries the way real lookups do.
+/// One region pair per 2x2 output tile, whose input-0 side is the tile's
+/// transpose plus one shared cell and whose input-1 side is the tile
+/// itself: every cell has lineage in both directions on both inputs, and
+/// query cells share entries the way real lookups do.
 fn pairs() -> Vec<RegionPair> {
     let mut pairs = Vec::new();
     for tr in (0..SIDE).step_by(2) {
@@ -84,8 +87,8 @@ fn pairs() -> Vec<RegionPair> {
             let mut incells: Vec<Coord> = tile.iter().map(|c| Coord::d2(c[1], c[0])).collect();
             incells.push(Coord::d2(0, 0));
             pairs.push(RegionPair::Full {
-                outcells: tile,
-                incells: vec![incells],
+                outcells: tile.clone(),
+                incells: vec![incells, tile],
             });
         }
     }
@@ -100,7 +103,7 @@ fn query(shape: Shape, cells: u32) -> CellSet {
 #[test]
 fn warm_indexed_lookups_allocate_per_call_not_per_cell() {
     let shape = Shape::d2(SIDE, SIDE);
-    let meta = OpMeta::new(vec![shape], shape);
+    let meta = OpMeta::new(vec![shape, shape], shape);
     let (small, large) = (query(shape, 10), query(shape, 1_000));
     let dir = std::env::temp_dir().join(format!("subzero-lookup-guard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -115,12 +118,16 @@ fn warm_indexed_lookups_allocate_per_call_not_per_cell() {
         ds.store_batch(&pairs(), 1);
         ds.finish_ingest();
         ds.set_workers(1);
+        // One lookup about each input in turn.
         let mut lookup = |q: &CellSet| {
-            let out = ds.lookup_many(direction, &[q], 0, &Identity, &meta);
-            assert!(!out[0].result.is_empty() && !out[0].scanned);
+            for input_idx in 0..2 {
+                let out = ds.lookup_many(direction, &[q], input_idx, &Identity, &meta);
+                assert!(!out[0].result.is_empty() && !out[0].scanned);
+            }
         };
-        // Warm-up: the cache decodes every entry either query names, and
-        // the scratch buffers grow to the large query's size.
+        // Warm-up: the cache decodes every entry either query names on
+        // either input, the memo holds every query cell's record, and the
+        // scratch buffers grow to the large query's size.
         lookup(&large);
         lookup(&small);
         let few = allocations_during(|| lookup(&small));
@@ -129,7 +136,7 @@ fn warm_indexed_lookups_allocate_per_call_not_per_cell() {
         const SLACK: usize = 4;
         assert!(
             many <= few + SLACK,
-            "{direction:?}: {few} allocations for a 10-cell lookup, {many} for a 1000-cell one"
+            "{direction:?}: {few} allocations for two 10-cell lookups, {many} for two 1000-cell ones"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
