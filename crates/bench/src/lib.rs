@@ -28,6 +28,5 @@ pub mod harness;
 pub mod micro;
 pub mod report;
 pub mod strategies;
-pub mod timing;
 
 pub use harness::{BenchmarkMeasurement, NamedQuery, QueryMeasurement};

@@ -6,7 +6,7 @@ use subzero_array::{BoundingBox, CellSet, Coord, Shape};
 use subzero_engine::RegionPair;
 use subzero_store::codec::{self, CellRun, ScanFrame};
 use subzero_store::hash::FxHashMap;
-use subzero_store::kv::Database;
+use subzero_store::kv::KvBackend;
 
 use super::{
     cache_shards, candidate_entries, encode_shards, fan_out, Base, LookupOutcome, SCAN_BLOCK,
@@ -105,12 +105,12 @@ impl FullCache {
 
     /// Whether a body exists for entry `id` (for per-query fetch accounting)
     /// and its runs for input `input_idx`, fetching and decoding on first
-    /// use.  Reads go through [`Database::peek_into`] so caches can live on
-    /// the worker threads of a fanned-out lookup, which share the database
+    /// use.  Reads go through the shared `&dyn KvBackend` so caches can live
+    /// on the worker threads of a fanned-out lookup, which share the store
     /// immutably.
     fn entry(
         &mut self,
-        db: &Database,
+        db: &dyn KvBackend,
         id: u64,
         out_cells: u64,
         in_cells: &[u64],
@@ -128,7 +128,7 @@ impl FullCache {
         }
         self.key.clear();
         encoder::entry_key_into(&mut self.key, id);
-        let present = db.peek_into(&self.key, &mut self.value);
+        let present = db.get_into(&self.key, &mut self.value);
         let runs = present
             .then(|| {
                 decode_full_entry_frame(
@@ -162,7 +162,7 @@ impl FullCache {
     /// whether it exists and how many of the entries it names have bodies.
     fn read_cell(
         &mut self,
-        db: &Database,
+        db: &dyn KvBackend,
         side: RecordSide,
         qc: u64,
         out_cells: u64,
@@ -171,7 +171,7 @@ impl FullCache {
     ) -> (bool, usize) {
         self.key.clear();
         side.packed_key(qc).write_into(&mut self.key);
-        let exists = db.peek_into(&self.key, &mut self.value);
+        let exists = db.get_into(&self.key, &mut self.value);
         self.ids.clear();
         if exists {
             // A torn id list decodes to no ids.
@@ -416,7 +416,7 @@ impl FullRecords {
         input_idx: usize,
     ) -> Vec<LookupOutcome> {
         let (query_side, answer_side) = RecordSide::of(direction, input_idx);
-        let db = &store.db;
+        let db = &*store.db;
         let rtree = store.rtree.as_ref();
         let empty_outcome = |scanned| store.empty_outcome(direction, input_idx, scanned);
         let (out_cells, in_cells) = (store.out_cells, &store.in_cells[..]);
@@ -516,7 +516,7 @@ impl FullRecords {
 }
 
 /// Answers a batch of mismatched-direction lookups over a `Full` store in
-/// one streamed pass of [`Database::scan_slices`] that joins while it
+/// one streamed pass of [`KvBackend::scan_slices`] that joins while it
 /// decodes, in memory independent of the store's size beyond one hit mask
 /// per entry (see [`EntryHits`]).
 ///

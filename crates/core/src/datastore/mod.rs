@@ -2,7 +2,7 @@
 //!
 //! "The runtime allocates a new BerkeleyDB database for each operator
 //! instance that stores region lineage" (§VI-A).  An [`OpDatastore`] is that
-//! database: it owns a [`Database`] of encoded region-pair entries, the
+//! database: it owns a [`KvBackend`] of encoded region-pair entries, the
 //! R-tree over key-side cells for the *Many* encodings, and the statistics
 //! (bytes, entries, encode time) the optimizer's cost model consumes.
 //!
@@ -21,7 +21,7 @@
 mod full;
 mod pay;
 
-use std::collections::{hash_map, HashSet};
+use std::collections::hash_map;
 use std::time::{Duration, Instant};
 
 use subzero_array::{BoundingBox, CellSet, Coord, Shape};
@@ -29,8 +29,8 @@ use subzero_engine::{LineageMode, OpMeta, Operator, RegionPair};
 use subzero_store::codec::{
     decode_fixed_u64, encode_fixed_u64, read_varint, write_varint, Arena, CodecError, Span,
 };
-use subzero_store::hash::FxHashMap;
-use subzero_store::kv::{Database, KvBackend, MemBackend};
+use subzero_store::hash::{FxHashMap, FxHashSet};
+use subzero_store::kv::{KvBackend, MemBackend};
 use subzero_store::RTree;
 
 use crate::encoder::{
@@ -131,7 +131,7 @@ impl Slot {
 /// Cell-record merges are pure appends (entry-id lists, payload lists), so
 /// the staged values are *deltas*, not full records: nothing is read from
 /// the database while staging, and the batch's single group write
-/// ([`Database::write_group`]) applies every delta behind the entry bodies —
+/// ([`KvBackend::write_group`]) applies every delta behind the entry bodies —
 /// one table probe per distinct key, no value clones, and exactly the bytes
 /// the per-pair path's read-modify-write sequence would have left behind.
 #[derive(Default)]
@@ -234,7 +234,7 @@ fn encode_shards<T: Sync>(
     })
 }
 
-/// Record-block size for streamed full scans ([`Database::scan_slices`]):
+/// Record-block size for streamed full scans ([`KvBackend::scan_slices`]):
 /// large enough to amortise the per-block dispatch, small enough that a
 /// block of decoded records stays cache-resident.
 const SCAN_BLOCK: usize = 1024;
@@ -257,7 +257,7 @@ fn cache_shards<C: Default>(pool: &mut Vec<C>, workers: usize, queries: usize) -
 /// [`store_batch`](OpDatastore::store_batch), which encodes the
 /// batch (in parallel on multi-core hosts), coalesces key-collision merges
 /// per batch, writes entries and merges with one
-/// [`write_group`](Database::write_group), and *stages* spatial-index
+/// [`write_group`](KvBackend::write_group), and *stages* spatial-index
 /// entries instead of inserting
 /// them one by one — the R-tree is bulk-loaded (STR-packed) lazily before the
 /// first lookup.  [`store_pair`](OpDatastore::store_pair) writes one pair at a
@@ -281,7 +281,9 @@ struct Base {
     /// bound the linear indices [`decode_key_linear`] accepts.
     out_cells: u64,
     in_cells: Vec<u64>,
-    db: Database,
+    /// Names the store in its `Debug` output.
+    name: String,
+    db: Box<dyn KvBackend>,
     rtree: Option<RTree>,
     /// Spatial-index entries captured by the batched path but not yet
     /// indexed; drained into `rtree` (STR bulk-loaded when the tree is still
@@ -338,7 +340,8 @@ impl OpDatastore {
                     .iter()
                     .map(|s| s.num_cells() as u64)
                     .collect(),
-                db: Database::new(name, backend),
+                name: name.into(),
+                db: backend,
                 rtree: (strategy.granularity == Granularity::Many).then(RTree::new),
                 rtree_staged: Vec::new(),
                 next_entry_id: 0,
@@ -469,7 +472,7 @@ impl OpDatastore {
     /// batch into arenas, a per-batch interning table (`KeyInterner`)
     /// coalesces repeated cell keys into append deltas before they reach the
     /// kv table, entry records and deltas go to the backend as one
-    /// [`write_group`](Database::write_group), and spatial-index entries are
+    /// [`write_group`](KvBackend::write_group), and spatial-index entries are
     /// staged for deferred STR bulk loading.
     pub fn store_batch(&mut self, pairs: &[RegionPair], workers: usize) {
         if pairs.is_empty() {
@@ -584,8 +587,8 @@ impl OpDatastore {
     /// queries is fetched and decoded once, payload mapping functions run
     /// once per stored region instead of once per query, and — the big one —
     /// when the stored index direction does not match the query direction,
-    /// the *single* full scan (streamed through [`Database::scan_slices`] in
-    /// decode blocks riding the `put_batch` file layout) answers every query
+    /// the *single* full scan (streamed through [`KvBackend::scan_slices`] in
+    /// decode blocks riding the group-write file layout) answers every query
     /// of the batch, instead of one scan per query.
     ///
     /// Indexed lookups fan out across the scoped worker threads of
@@ -641,6 +644,17 @@ impl OpDatastore {
     ) -> Vec<LookupOutcome> {
         self.lookup_many(Direction::Forward, queries, input_idx, op, meta)
     }
+}
+
+/// Reads the value stored under `key` (empty when absent), extends it with
+/// `append` and puts it back: the paper's per-record "on a key collision,
+/// decode, merge and re-encode", which the
+/// [`store_pair`](OpDatastore::store_pair) reference keeps and
+/// [`store_batch`](OpDatastore::store_batch) coalesces into group appends.
+fn append_to_record(db: &mut dyn KvBackend, key: &[u8], append: impl FnOnce(&mut Vec<u8>)) {
+    let mut value = db.get(key).unwrap_or_default();
+    append(&mut value);
+    db.put(key, &value);
 }
 
 impl Base {
@@ -721,11 +735,7 @@ impl Base {
                 self.db.put(&encoder::entry_key(id), &body);
                 for oc in outcells {
                     let key = encoder::out_cell_key(&self.out_shape, oc);
-                    self.db.merge(&key, |old| {
-                        let mut v = old.unwrap_or_default();
-                        encoder::append_entry_id(&mut v, id);
-                        v
-                    });
+                    append_to_record(&mut *self.db, &key, |v| encoder::append_entry_id(v, id));
                 }
             }
             (Granularity::Many, Direction::Backward) => {
@@ -759,11 +769,7 @@ impl Base {
                 for (i, cells) in incells.iter().enumerate() {
                     for ic in cells {
                         let key = encoder::in_cell_key(&self.in_shapes[i], i, ic);
-                        self.db.merge(&key, |old| {
-                            let mut v = old.unwrap_or_default();
-                            encoder::append_entry_id(&mut v, id);
-                            v
-                        });
+                        append_to_record(&mut *self.db, &key, |v| encoder::append_entry_id(v, id));
                     }
                 }
             }
@@ -798,11 +804,7 @@ impl Base {
                 // (the PayOne layout of Fig. 4.4).
                 for oc in outcells {
                     let key = encoder::out_cell_key(&self.out_shape, oc);
-                    self.db.merge(&key, |old| {
-                        let mut v = old.unwrap_or_default();
-                        encoder::append_payload(&mut v, payload);
-                        v
-                    });
+                    append_to_record(&mut *self.db, &key, |v| encoder::append_payload(v, payload));
                 }
             }
             Granularity::Many => {
@@ -983,8 +985,8 @@ impl Base {
         let mut pairs_stored = 0u64;
         let mut cells_stored = 0u64;
         let mut staged: Vec<(BoundingBox, u64)> = Vec::new();
-        self.db.scan_batch(256, &mut |block| {
-            for (key, value) in block.iter().map(|(k, v)| (k.as_slice(), v.as_slice())) {
+        self.db.scan_slices(256, &mut |block| {
+            for &(key, value) in block {
                 let Ok(DecodedKeyLinear::Entry(id)) = decode_key_linear(out_cells, in_cells, key)
                 else {
                     continue;
@@ -1070,7 +1072,7 @@ fn candidate_entries(tree: Option<&RTree>, query: &CellSet) -> Vec<u64> {
     let Some(tree) = tree else {
         return Vec::new();
     };
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut out = Vec::new();
     // Query the R-tree with the bounding box of the query cells first; if
     // the query is small, per-cell point queries are more selective.
@@ -1098,6 +1100,7 @@ fn candidate_entries(tree: Option<&RTree>, query: &CellSet) -> Vec<u64> {
 impl std::fmt::Debug for OpDatastore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OpDatastore")
+            .field("name", &self.base.name)
             .field("strategy", &self.base.strategy.label())
             .field("pairs", &self.base.pairs_stored)
             .field("bytes", &self.bytes_used())
@@ -1579,7 +1582,7 @@ mod tests {
     }
 
     /// A [`KvBackend`] that delegates every call to `inner` and counts the
-    /// full scans (`scan_batch`/`scan_slices`) it serves.
+    /// full scans (`scan_slices`) it serves.
     struct CountingBackend {
         inner: Box<dyn KvBackend>,
         scans: Arc<AtomicUsize>,
@@ -1628,21 +1631,8 @@ mod tests {
         fn persist_stamp(&self) -> u64 {
             self.inner.persist_stamp()
         }
-        fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
-            self.inner.put_batch(items)
-        }
-        fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-            self.inner.put_batch_slices(items)
-        }
-        fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-            self.inner.merge_append_batch(items)
-        }
         fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
             self.inner.write_group(puts, appends)
-        }
-        fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
-            self.scans.fetch_add(1, Ordering::SeqCst);
-            self.inner.scan_batch(block, visit)
         }
         fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
             self.scans.fetch_add(1, Ordering::SeqCst);

@@ -3,12 +3,11 @@
 //! too), their batch ingest, and their lookups, which map each stored
 //! `(cell, payload)` region through the operator's `map_payload`.
 
-use std::collections::HashMap;
-
 use subzero_array::{BoundingBox, CellSet, Coord, Shape};
 use subzero_engine::{OpMeta, Operator, RegionPair};
 use subzero_store::codec;
-use subzero_store::kv::Database;
+use subzero_store::hash::FxHashMap;
+use subzero_store::kv::KvBackend;
 
 use super::{
     cache_shards, candidate_entries, encode_shards, fan_out, Base, LookupOutcome, SCAN_BLOCK,
@@ -25,20 +24,21 @@ use crate::model::{Direction, Granularity};
 #[derive(Default)]
 struct EntryCache {
     /// entry id -> (a body existed, decoded entry if decoding succeeded)
-    map: HashMap<u64, (bool, Option<PayEntry>)>,
+    map: FxHashMap<u64, (bool, Option<PayEntry>)>,
 }
 
 impl EntryCache {
     /// Returns whether a body exists for `id` (for per-query fetch
     /// accounting) and the decoded entry, fetching and decoding on first use.
     ///
-    /// Reads go through [`Database::peek`] so caches can live on the worker
-    /// threads of a fanned-out lookup, which share the database immutably.
-    fn get(&mut self, db: &Database, id: u64, out_shape: &Shape) -> (bool, Option<&PayEntry>) {
+    /// Reads go through the shared `&dyn KvBackend` so caches can live on
+    /// the worker threads of a fanned-out lookup, which share the store
+    /// immutably.
+    fn get(&mut self, db: &dyn KvBackend, id: u64, out_shape: &Shape) -> (bool, Option<&PayEntry>) {
         let slot = self
             .map
             .entry(id)
-            .or_insert_with(|| match db.peek(&encoder::entry_key(id)) {
+            .or_insert_with(|| match db.get(&encoder::entry_key(id)) {
                 Some(body) => (true, decode_pay_entry(out_shape, &body).ok()),
                 None => (false, None),
             });
@@ -123,7 +123,7 @@ impl PayRecords {
         meta: &OpMeta,
     ) -> Vec<LookupOutcome> {
         let out_shape = store.out_shape;
-        let db = &store.db;
+        let db = &*store.db;
         let map = |cell: &Coord, payload: &[u8]| op.map_payload(cell, payload, input_idx, meta);
         let empty_outcome = |scanned| store.empty_outcome(direction, input_idx, scanned);
         if !store.strategy.serves(direction) {
@@ -161,7 +161,7 @@ impl PayRecords {
             Granularity::One => fan_out(queries, &mut vec![(); store.workers], |_, query| {
                 let mut out = empty_outcome(false);
                 for qc in query.iter() {
-                    let Some(value) = db.peek(&encoder::out_cell_key(&out_shape, &qc)) else {
+                    let Some(value) = db.get(&encoder::out_cell_key(&out_shape, &qc)) else {
                         continue;
                     };
                     out.entries_fetched += 1;

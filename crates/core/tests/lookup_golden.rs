@@ -4,16 +4,16 @@
 //! backward and forward lookups were folded into one kernel.  For every
 //! pair-storing strategy, both directions, both inputs and a fixed query
 //! batch it pins each outcome's `result` and `covered` cells, its
-//! `entries_fetched` count and its `scanned` flag.  Every backend (memory,
-//! file under mmap and under positioned reads) and every worker count must
-//! reproduce the image exactly: a lookup may change how it finds an answer,
-//! never which answer or what it reports having fetched.
+//! `entries_fetched` count and its `scanned` flag.  Every backend (memory
+//! and file) and every worker count must reproduce the image exactly: a
+//! lookup may change how it finds an answer, never which answer or what it
+//! reports having fetched.
 
 use subzero::datastore::{LookupOutcome, OpDatastore};
 use subzero::model::{Direction, StorageStrategy};
 use subzero_array::{Array, ArrayRef, CellSet, Coord, Shape};
 use subzero_engine::{LineageMode, LineageSink, OpMeta, Operator, RegionPair};
-use subzero_store::kv::{FileBackend, ScanMode};
+use subzero_store::kv::FileBackend;
 
 /// Payload byte `r` means "depends on the radius-`r` neighbourhood of the
 /// output cell" in whichever input is asked about.
@@ -115,7 +115,7 @@ fn queries() -> Vec<CellSet> {
 #[derive(Clone, Copy, Debug)]
 enum Backend {
     Mem,
-    File(ScanMode),
+    File,
 }
 
 /// One pinned case: its name and its encoded outcome.
@@ -163,10 +163,9 @@ fn cases(backend: Backend, workers: usize, dir: &std::path::Path) -> Vec<Case> {
     for strategy in strategies() {
         let mut ds = match backend {
             Backend::Mem => OpDatastore::in_memory("golden", strategy, &meta),
-            Backend::File(mode) => {
+            Backend::File => {
                 let path = dir.join(format!("{}.kv", strategy.db_suffix()));
-                let mut file = FileBackend::open(&path).expect("open golden store");
-                file.set_scan_mode(mode);
+                let file = FileBackend::open(&path).expect("open golden store");
                 OpDatastore::new("golden", strategy, &meta, Box::new(file))
             }
         };
@@ -231,11 +230,7 @@ fn lookup_outcomes_match_the_reference_image() {
     let golden = decode_cases(image);
     assert_eq!(encode_cases(&golden), image, "image does not parse cleanly");
     let dir = std::env::temp_dir().join(format!("subzero-lookup-golden-{}", std::process::id()));
-    for backend in [
-        Backend::Mem,
-        Backend::File(ScanMode::Mmap),
-        Backend::File(ScanMode::Pread),
-    ] {
+    for backend in [Backend::Mem, Backend::File] {
         for workers in [1, 2] {
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).expect("create golden dir");

@@ -81,6 +81,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
+/// A `HashSet` keyed through [`FxHasher`].
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,6 @@
 //! * [`FileBackend`] — an append-only log file with an in-memory hash index
 //!   (rebuildable by scanning the log), giving the same "hash table on disk,
 //!   no transactional guarantees" durability stance as the prototype.
-//! * [`Database`] — one named store instance (≈ one BerkeleyDB database).
 //! * [`sanitize_name`] — the collision-free file-name stem of a store's log.
 
 use std::borrow::{Borrow, Cow};
@@ -23,7 +22,7 @@ use crate::codec::{read_varint, write_varint};
 use crate::hash::FxHashMap;
 use crate::mmap::MmapRegion;
 
-/// One owned `(key, value)` record, as stored and scanned.
+/// One owned `(key, value)` record, as [`KvBackend::iter`] yields it.
 pub type KvPair = (Vec<u8>, Vec<u8>);
 
 /// One borrowed `(key, value)` record, as streamed zero-copy by
@@ -110,49 +109,9 @@ impl PartialEq for IndexKey {
 
 impl Eq for IndexKey {}
 
-/// How [`FileBackend`] physically serves full scans and point reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Serve reads zero-copy from a read-only memory mapping of the flushed
-    /// log prefix (the default on unix).  Concurrent scans, fanned-out query
-    /// shards and point lookups all share one mapping — and therefore one
-    /// copy of the page cache — instead of issuing per-record positioned
-    /// reads.
-    Mmap,
-    /// Positioned-read (`pread`) fallback: scans fetch the log in large
-    /// block-batched chunks through the shared cursor-less reader handle.
-    /// Selected automatically where mmap is unavailable or refused, at
-    /// compile time by the `pread-scan` feature, or at runtime via
-    /// `SUBZERO_SCAN_MODE=pread`.
-    Pread,
-}
-
-impl ScanMode {
-    /// Mode a fresh backend starts in: the `pread-scan` feature and non-unix
-    /// targets force [`ScanMode::Pread`]; otherwise `SUBZERO_SCAN_MODE`
-    /// (`mmap`/`pread`) decides, defaulting to [`ScanMode::Mmap`].
-    fn default_mode() -> ScanMode {
-        if cfg!(feature = "pread-scan") || !cfg!(unix) {
-            return ScanMode::Pread;
-        }
-        match std::env::var("SUBZERO_SCAN_MODE").as_deref() {
-            Ok("pread") => ScanMode::Pread,
-            _ => ScanMode::Mmap,
-        }
-    }
-}
-
-/// Default sequential-read chunk for [`ScanMode::Pread`] scans.
-const DEFAULT_SCAN_CHUNK: usize = 256 * 1024;
-
-/// Chunk size a fresh backend starts with: `SUBZERO_SCAN_CHUNK` (bytes)
-/// overrides the 256 KiB default.
-fn default_scan_chunk() -> usize {
-    std::env::var("SUBZERO_SCAN_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(DEFAULT_SCAN_CHUNK, |v| v.max(1))
-}
+/// Sequential-read chunk of the positioned-read scan, the fallback that
+/// serves a log whose flushed prefix is not mapped.
+const SCAN_CHUNK: usize = 256 * 1024;
 
 /// Abstract hash-table storage backend.
 ///
@@ -255,79 +214,34 @@ pub trait KvBackend: Send + Sync {
         0
     }
 
-    /// Inserts or replaces many pairs with one group flush at the end.
+    /// Applies one ingest batch as a single group write.
     ///
-    /// Backends take ownership of the keys and values, so batched writers
-    /// avoid the per-record copies of repeated [`put`](KvBackend::put) calls;
-    /// the file backend additionally serialises the whole batch into a single
-    /// log write.  Later entries win when a key repeats within the batch.
-    fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
-        for (key, value) in &items {
-            self.put(key, value);
-        }
-        self.flush().expect("group flush");
-    }
+    /// Each `(key, value)` of `puts` inserts or replaces (later entries win
+    /// when a key repeats).  Then each `(key, append)` of `appends` makes
+    /// the stored value `old ++ append`, or just `append` for an absent key;
+    /// appends apply in order, so an append to a key this call put extends
+    /// the put value and a repeated key accumulates its appends.
+    ///
+    /// Appends are the flush half of write-side key dedup: batched writers
+    /// stage append-only deltas per *distinct* key, so the table is probed
+    /// once per key instead of the read-clone-modify-write of per-record
+    /// merges.  The file backend serialises both halves into one buffer:
+    /// one log write and flush, one remap.
+    fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]);
 
-    /// Inserts or replaces many pairs given as borrowed slices — views into
-    /// an encode [`Arena`](crate::codec::Arena) — with one group flush at the
-    /// end.
-    ///
-    /// This is the zero-copy counterpart of [`put_batch`](KvBackend::put_batch):
-    /// batched writers that serialise a whole batch into one contiguous
-    /// buffer hand the slices straight through, and the file backend
-    /// serialises them into a single log append without any intermediate
-    /// owned records.  Later entries win when a key repeats within the batch.
+    /// [`write_group`](KvBackend::write_group) with no appends.
     fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        for &(key, value) in items {
-            self.put(key, value);
-        }
-        self.flush().expect("group flush");
+        self.write_group(items, &[]);
     }
 
-    /// Appends bytes to the values of many records with one group flush: for
-    /// each `(key, append)` item the stored value becomes `old ++ append`
-    /// (or just `append` for a previously absent key).
-    ///
-    /// This is the flush half of write-side key dedup: batched writers stage
-    /// append-only deltas per *distinct* key and apply them all at once, so
-    /// the backing table is probed once per key instead of the
-    /// read-clone-modify-write of per-record merges.  Items apply in order,
-    /// so a key repeated within one call accumulates its appends (the dedup
-    /// table never repeats one).
+    /// [`write_group`](KvBackend::write_group) with no puts.
     fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-        for &(key, append) in items {
-            let mut value = self.get(key).unwrap_or_default();
-            value.extend_from_slice(append);
-            self.put(key, &value);
-        }
-        self.flush().expect("group flush");
-    }
-
-    /// Applies one ingest batch as a single group write: `puts` as by
-    /// [`put_batch_slices`](KvBackend::put_batch_slices), then `appends` as
-    /// by [`merge_append_batch`](KvBackend::merge_append_batch) (an append
-    /// to a key the same call put extends the put value).  The file backend
-    /// serialises both halves into one buffer — one log write, one remap.
-    fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
-        self.put_batch_slices(puts);
-        self.merge_append_batch(appends);
-    }
-
-    /// Streams every live `(key, value)` pair through `visit` in blocks of up
-    /// to `block` records (order unspecified, each live key exactly once).
-    ///
-    /// This is the vectorised counterpart of [`iter`](KvBackend::iter): full
-    /// scans hand the consumer whole decode blocks instead of one record at a
-    /// time, and backends may exploit their physical layout — the file
-    /// backend reads the `put_batch`-laid-out log sequentially in large
-    /// chunks rather than issuing one seek per key.
-    fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
-        visit_blocks(self.iter(), block, visit);
+        self.write_group(&[], items);
     }
 
     /// Streams every live `(key, value)` pair through `visit` as blocks of
-    /// *borrowed* slices — the zero-copy counterpart of
-    /// [`scan_batch`](KvBackend::scan_batch).
+    /// up to `block` *borrowed* slices (order unspecified, each live key
+    /// exactly once).
     ///
     /// The slices are only valid for the duration of each `visit` call;
     /// consumers decode out of them in place (into a columnar
@@ -446,31 +360,18 @@ impl KvBackend for MemBackend {
         Ok(())
     }
 
-    fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
-        self.map.reserve(items.len());
-        for (key, value) in items {
-            // Move the owned value straight into the table — the batch
-            // path's win over repeated `put` calls is skipping that copy.
-            self.insert(&key, value);
-        }
-    }
-
-    fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        // The table must own its values, so each slice is copied exactly
-        // once, straight into its final allocation — the arena writer never
-        // allocated per-record buffers to move from.
-        self.map.reserve(items.len());
-        for &(key, value) in items {
+    fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
+        // The table must own its values, so each put slice is copied exactly
+        // once, straight into its final allocation.  Appends take one probe
+        // per key and no value clone: hits extend the stored value in place,
+        // misses insert the delta as the whole value.  Reserving up front
+        // keeps the whole group write out of rehash growth.
+        self.map.reserve(puts.len());
+        for &(key, value) in puts {
             self.insert(key, value.to_vec());
         }
-    }
-
-    fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-        // One probe per key, no value clone: hits extend the stored value in
-        // place, misses insert the delta as the whole value.  Reserving up
-        // front keeps the whole group write out of rehash growth.
-        self.map.reserve(items.len());
-        for &(key, append) in items {
+        self.map.reserve(appends.len());
+        for &(key, append) in appends {
             match self.map.entry(IndexKey::new(key)) {
                 Entry::Occupied(mut e) => e.get_mut().extend_from_slice(append),
                 Entry::Vacant(e) => {
@@ -615,9 +516,10 @@ pub struct FileBackend {
     writer: BufWriter<File>,
     /// Dedicated read handle (the writer's position must stay untouched).
     /// Opened once; re-opening the file per lookup costs more than the read.
-    /// All reads go through positioned I/O (`read_at`/`seek_read`), so the
-    /// handle carries no cursor state and concurrent readers — fanned-out
-    /// lookup shards, capture flusher threads — never serialise on a lock.
+    /// Reads the mapping does not cover go through positioned I/O
+    /// (`read_at`/`seek_read`), so the handle carries no cursor state and
+    /// concurrent readers — fanned-out lookup shards, capture flusher
+    /// threads — never serialise on a lock.
     reader: File,
     /// key -> (offset of the value bytes, value length)
     index: LogIndex,
@@ -633,12 +535,9 @@ pub struct FileBackend {
     /// Read-only mapping of the flushed log prefix, refreshed after every
     /// group flush (`&mut self` paths only, so readers never race a remap —
     /// writer exclusivity is the backend's concurrency contract).  `None`
-    /// when empty, unavailable on this target, or in [`ScanMode::Pread`].
+    /// when empty, unavailable on this target, or refused; reads then fall
+    /// back to positioned I/O.
     map: Option<MmapRegion>,
-    /// How scans and point reads are served; see [`ScanMode`].
-    scan_mode: ScanMode,
-    /// Sequential-read chunk size for [`ScanMode::Pread`] scans.
-    scan_chunk: usize,
 }
 
 impl FileBackend {
@@ -696,8 +595,6 @@ impl FileBackend {
             superseded,
             write_offset,
             map: None,
-            scan_mode: ScanMode::default_mode(),
-            scan_chunk: default_scan_chunk(),
         };
         backend.remap();
         Ok(backend)
@@ -708,43 +605,46 @@ impl FileBackend {
         &self.path
     }
 
-    /// Current [`ScanMode`].
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
-    }
-
-    /// Switches between the mmap and pread read paths (tests use this to
-    /// prove both serve identical results).  Entering [`ScanMode::Mmap`]
-    /// maps the flushed prefix immediately; leaving it drops the mapping.
-    pub fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.scan_mode = mode;
-        self.remap();
-    }
-
-    /// Sequential-read chunk size used by [`ScanMode::Pread`] scans.
-    pub fn scan_chunk(&self) -> usize {
-        self.scan_chunk
-    }
-
-    /// Tunes the pread scan chunk (clamped to ≥ 1 byte; the default is
-    /// 256 KiB, overridable per process with `SUBZERO_SCAN_CHUNK`).
-    pub fn set_scan_chunk(&mut self, bytes: usize) {
-        self.scan_chunk = bytes.max(1);
-    }
-
     /// Refreshes the mapped region to cover exactly the flushed log prefix.
     /// Called from `&mut self` write paths only (open / flush / group
     /// writes), so no reader can hold a view of the old region — writer
     /// exclusivity is what makes dropping it sound.  Mapping failure simply
     /// leaves `map` unset and reads fall back to positioned I/O.
     fn remap(&mut self) {
-        if self.scan_mode != ScanMode::Mmap {
-            self.map = None;
-            return;
-        }
         let covered = self.map.as_ref().map_or(0, |m| m.len() as u64);
         if covered != self.write_offset {
             self.map = MmapRegion::map(&self.reader, self.write_offset);
+        }
+    }
+
+    /// The scan of an unmapped log: read *sequentially* in `chunk`-byte
+    /// positioned reads, with blocks borrowing from the carry buffer for the
+    /// duration of each `visit`.  Superseded records are skipped as in the
+    /// mapped scan.
+    fn scan_chunked(&self, chunk: usize, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
+        let dead = self.superseded.in_order();
+        let mut dead: &[u64] = &dead;
+        // Chunks are read straight onto the tail of the carry buffer, which
+        // holds the incomplete record the previous chunk ended in.
+        let mut carry: Vec<u8> = Vec::new();
+        let mut read_pos = 0u64; // absolute log offset of the next chunk read
+        let mut file_pos = 0u64; // absolute log offset of carry[0]
+        while read_pos < self.write_offset {
+            let want = (self.write_offset - read_pos).min(chunk as u64) as usize;
+            let at = carry.len();
+            carry.resize(at + want, 0);
+            // Positioned read: the scan tracks its own offset, so concurrent
+            // point lookups through the same handle are unaffected.  A
+            // truncated scan would silently drop lineage from query answers;
+            // like the other log I/O in this backend, treat failures as fatal.
+            read_exact_at(&self.reader, &mut carry[at..], read_pos).expect("lineage log scan read");
+            read_pos += want as u64;
+            // Parse and emit every complete record in the carry buffer; the
+            // borrowed blocks are handed out before the drain invalidates
+            // them (a block may come up short at a chunk boundary).
+            let consumed = emit_live_records(&carry, file_pos, &mut dead, block, visit);
+            carry.drain(..consumed);
+            file_pos += consumed as u64;
         }
     }
 }
@@ -973,22 +873,6 @@ impl KvBackend for FileBackend {
             .wrapping_add(self.live_bytes as u64)
     }
 
-    fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
-        let slices: Vec<(&[u8], &[u8])> = items
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        self.put_batch_slices(&slices);
-    }
-
-    fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        self.write_group(items, &[]);
-    }
-
-    fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-        self.write_group(&[], items);
-    }
-
     fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
         // Serialise the whole group into one buffer and append it with a
         // single write.  Because the records provably reach the file before
@@ -1084,252 +968,24 @@ impl KvBackend for FileBackend {
         self.remap();
     }
 
-    /// Owned-pair scan: a thin adapter over [`KvBackend::scan_slices`] that copies each
-    /// block into a scratch buffer whose `(key, value)` allocations are
-    /// reused across blocks (and only ever grow), so a whole-log scan costs
-    /// at most one allocation per scratch slot rather than two per record.
-    fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
-        let mut scratch: Vec<KvPair> = Vec::new();
-        self.scan_slices(block, &mut |pairs| {
-            for (i, &(key, value)) in pairs.iter().enumerate() {
-                if i < scratch.len() {
-                    let (k, v) = &mut scratch[i];
-                    k.clear();
-                    k.extend_from_slice(key);
-                    v.clear();
-                    v.extend_from_slice(value);
-                } else {
-                    scratch.push((key.to_vec(), value.to_vec()));
-                }
-            }
-            visit(&scratch[..pairs.len()]);
-        });
-    }
-
-    /// Scans the log zero-copy.  In [`ScanMode::Mmap`] the whole flushed
-    /// prefix is one mapped slice and blocks borrow straight from the page
-    /// cache; in [`ScanMode::Pread`] (or when the prefix could not be
-    /// mapped) the log is fetched *sequentially* in large tunable chunks and
-    /// blocks borrow from the carry buffer for the duration of each `visit`.
-    /// Either way record parsing rides the `put_batch` layout (batched
-    /// records are physically contiguous) and superseded records are skipped
-    /// by their offsets, walked in log order beside the records.
+    /// Scans the log zero-copy: the whole flushed prefix is one mapped
+    /// slice and blocks borrow straight from the page cache.  Record parsing
+    /// rides the group-write layout (a batch's records are physically
+    /// contiguous), and superseded records are skipped by their offsets,
+    /// walked in log order beside the records.
     fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
-        let block = block.max(1);
         if !self.pending.is_empty() {
             // Unflushed one-at-a-time puts may not have reached the file yet;
             // fall back to the index-driven scan, which serves them.
             return visit_slices_of(self.iter(), block, visit);
         }
-        let dead = self.superseded.in_order();
-        let mut dead: &[u64] = &dead;
-        if let Some(map) = &self.map {
-            if map.len() as u64 == self.write_offset {
-                // Zero-copy fast path: every record lives in the mapping.
-                emit_live_records(map.as_slice(), 0, &mut dead, block, visit);
-                return;
+        match &self.map {
+            Some(map) if map.len() as u64 == self.write_offset => {
+                let dead = self.superseded.in_order();
+                emit_live_records(map.as_slice(), 0, &mut &dead[..], block, visit);
             }
+            _ => self.scan_chunked(SCAN_CHUNK, block, visit),
         }
-        // Chunks are read straight onto the tail of the carry buffer, which
-        // holds the incomplete record the previous chunk ended in.
-        let mut carry: Vec<u8> = Vec::new();
-        let mut read_pos = 0u64; // absolute log offset of the next chunk read
-        let mut file_pos = 0u64; // absolute log offset of carry[0]
-        while read_pos < self.write_offset {
-            let want = (self.write_offset - read_pos).min(self.scan_chunk as u64) as usize;
-            let at = carry.len();
-            carry.resize(at + want, 0);
-            // Positioned read: the scan tracks its own offset, so concurrent
-            // point lookups through the same handle are unaffected.  A
-            // truncated scan would silently drop lineage from query answers;
-            // like the other log I/O in this backend, treat failures as fatal.
-            read_exact_at(&self.reader, &mut carry[at..], read_pos).expect("lineage log scan read");
-            read_pos += want as u64;
-            // Parse and emit every complete record in the carry buffer; the
-            // borrowed blocks are handed out before the drain invalidates
-            // them (a block may come up short at a chunk boundary).
-            let consumed = emit_live_records(&carry, file_pos, &mut dead, block, visit);
-            carry.drain(..consumed);
-            file_pos += consumed as u64;
-        }
-    }
-}
-
-/// A single named key-value database (≈ one BerkeleyDB hashtable instance).
-pub struct Database {
-    name: String,
-    backend: Box<dyn KvBackend>,
-    puts: u64,
-    gets: u64,
-}
-
-impl Database {
-    /// Wraps a backend under a name.
-    pub fn new(name: impl Into<String>, backend: Box<dyn KvBackend>) -> Self {
-        Database {
-            name: name.into(),
-            backend,
-            puts: 0,
-            gets: 0,
-        }
-    }
-
-    /// The database name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Inserts or replaces a value.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.puts += 1;
-        self.backend.put(key, value);
-    }
-
-    /// Inserts or replaces many pairs with one group flush at the end (see
-    /// [`KvBackend::put_batch`]).
-    pub fn put_batch(&mut self, items: Vec<(Vec<u8>, Vec<u8>)>) {
-        self.puts += items.len() as u64;
-        self.backend.put_batch(items);
-    }
-
-    /// Inserts or replaces many pairs given as borrowed slices (arena views)
-    /// with one group flush at the end (see [`KvBackend::put_batch_slices`]).
-    pub fn put_batch_slices(&mut self, items: &[(&[u8], &[u8])]) {
-        self.puts += items.len() as u64;
-        self.backend.put_batch_slices(items);
-    }
-
-    /// Appends bytes to the values of many records with one group flush (the
-    /// flush half of write-side key dedup; see
-    /// [`KvBackend::merge_append_batch`]).
-    pub fn merge_append_batch(&mut self, items: &[(&[u8], &[u8])]) {
-        self.puts += items.len() as u64;
-        self.backend.merge_append_batch(items);
-    }
-
-    /// Applies `puts` then `appends` as one group write (a whole ingest
-    /// batch; see [`KvBackend::write_group`]).
-    pub fn write_group(&mut self, puts: &[(&[u8], &[u8])], appends: &[(&[u8], &[u8])]) {
-        self.puts += (puts.len() + appends.len()) as u64;
-        self.backend.write_group(puts, appends);
-    }
-
-    /// Fetches a value.
-    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        self.gets += 1;
-        self.backend.get(key)
-    }
-
-    /// Fetches a value without recording an access (used by iterators and
-    /// statistics).
-    pub fn peek(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.backend.get(key)
-    }
-
-    /// [`peek`](Database::peek) into a reused buffer (see
-    /// [`KvBackend::get_into`]): `out` holds the value when this returns
-    /// `true` and is empty otherwise.
-    pub fn peek_into(&self, key: &[u8], out: &mut Vec<u8>) -> bool {
-        self.backend.get_into(key, out)
-    }
-
-    /// Reads the current value of `key`, applies `merge` to it (or to `None`)
-    /// and stores the result.  This is the "on a key collision, decode, merge
-    /// and re-encode" path of the paper's runtime.
-    pub fn merge(&mut self, key: &[u8], merge: impl FnOnce(Option<Vec<u8>>) -> Vec<u8>) {
-        let existing = self.backend.get(key);
-        let merged = merge(existing);
-        self.put(key, &merged);
-    }
-
-    /// Whether `key` exists.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.backend.contains(key)
-    }
-
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.backend.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
-    }
-
-    /// Iterates over all `(key, value)` pairs.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = (Vec<u8>, Vec<u8>)> + '_> {
-        self.backend.iter()
-    }
-
-    /// Streams every `(key, value)` pair through `visit` in blocks of up to
-    /// `block` records (see [`KvBackend::scan_batch`]); full scans should
-    /// prefer this over [`iter`](Database::iter) so the backend can use its
-    /// physical layout.
-    pub fn scan_batch(&self, block: usize, visit: &mut dyn FnMut(&[KvPair])) {
-        self.backend.scan_batch(block, visit);
-    }
-
-    /// Streams every `(key, value)` pair through `visit` as blocks of
-    /// borrowed slices, zero-copy where the backend's layout allows it (see
-    /// [`KvBackend::scan_slices`]); the slices are valid only during each
-    /// `visit` call.
-    pub fn scan_slices(&self, block: usize, visit: &mut dyn FnMut(&[KvRef])) {
-        self.backend.scan_slices(block, visit);
-    }
-
-    /// Logical bytes stored.
-    pub fn bytes_used(&self) -> usize {
-        self.backend.bytes_used()
-    }
-
-    /// Flushes buffered writes.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.backend.flush()
-    }
-
-    /// Forces flushed bytes to stable storage (see [`KvBackend::sync`]).
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.backend.sync()
-    }
-
-    /// Flushed log length for persistent backends (see
-    /// [`KvBackend::log_len`]).
-    pub fn log_len(&self) -> Option<u64> {
-        self.backend.log_len()
-    }
-
-    /// Folds superseded records out of the log, returning bytes reclaimed
-    /// (see [`KvBackend::compact`]).
-    pub fn compact(&mut self) -> io::Result<u64> {
-        self.backend.compact()
-    }
-
-    /// Path of the backing file for persistent backends, `None` for memory
-    /// (see [`KvBackend::file_path`]).
-    pub fn file_path(&self) -> Option<&Path> {
-        self.backend.file_path()
-    }
-
-    /// Fingerprint of the flushed contents for sidecar validation (see
-    /// [`KvBackend::persist_stamp`]).
-    pub fn persist_stamp(&self) -> u64 {
-        self.backend.persist_stamp()
-    }
-
-    /// Access statistics `(puts, gets)`.
-    pub fn access_stats(&self) -> (u64, u64) {
-        (self.puts, self.gets)
-    }
-}
-
-impl std::fmt::Debug for Database {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Database")
-            .field("name", &self.name)
-            .field("len", &self.backend.len())
-            .field("bytes", &self.backend.bytes_used())
-            .finish()
     }
 }
 
@@ -1373,6 +1029,7 @@ pub fn sanitize_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn backend_contract(mut b: Box<dyn KvBackend>) {
         assert!(b.is_empty());
@@ -1565,11 +1222,11 @@ mod tests {
 
     fn put_batch_contract(mut b: Box<dyn KvBackend>) {
         b.put(b"seed", b"old");
-        b.put_batch(vec![
-            (b"k1".to_vec(), b"v1".to_vec()),
-            (b"seed".to_vec(), b"new".to_vec()),
-            (b"dup".to_vec(), b"first".to_vec()),
-            (b"dup".to_vec(), b"second".to_vec()),
+        b.put_batch_slices(&[
+            (b"k1", b"v1"),
+            (b"seed", b"new"),
+            (b"dup", b"first"),
+            (b"dup", b"second"),
         ]);
         assert_eq!(b.len(), 3);
         assert_eq!(b.get(b"k1").as_deref(), Some(&b"v1"[..]));
@@ -1598,8 +1255,8 @@ mod tests {
     }
 
     fn put_batch_slices_contract(mut b: Box<dyn KvBackend>) {
-        // The zero-copy slice path must behave exactly like put_batch:
-        // supersede earlier puts, count live bytes only, group-flush.
+        // Arena views must behave exactly like any other batch: supersede
+        // earlier puts, count live bytes only, group-flush.
         b.put(b"seed", b"old");
         let mut arena = crate::codec::Arena::new();
         let k1 = arena.push(b"k1");
@@ -1735,18 +1392,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Drops the backend's mapping, so reads take the positioned-read
+    /// fallback (the path of a target or log that cannot be mapped) until a
+    /// write or flush maps the log again.
+    fn unmap(b: &mut FileBackend) {
+        b.map = None;
+    }
+
+    /// Every record `b` scans in blocks of `block`, sorted.
+    fn scanned(b: &dyn KvBackend, block: usize) -> Vec<KvPair> {
+        let mut seen: Vec<KvPair> = Vec::new();
+        b.scan_slices(block, &mut |pairs| {
+            assert!(
+                pairs.len() <= block.max(1),
+                "block overflow at size {block}"
+            );
+            seen.extend(pairs.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
+        });
+        seen.sort();
+        seen
+    }
+
+    /// [`scanned`] through positioned reads of `chunk` bytes.
+    fn scanned_chunked(b: &FileBackend, chunk: usize, block: usize) -> Vec<KvPair> {
+        let mut seen: Vec<KvPair> = Vec::new();
+        b.scan_chunked(chunk, block, &mut |pairs| {
+            seen.extend(pairs.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
+        });
+        seen.sort();
+        seen
+    }
+
     #[test]
     #[should_panic(expected = "lineage log read")]
     fn file_backend_merge_append_fails_loudly_on_unreadable_old_value() {
         // A failed read of an indexed record must not quietly shrink it to
-        // just the new delta.  Pread mode, so the old value has to come from
-        // the file — which is cut off under the backend.
+        // just the new delta.  Unmapped, so the old value has to come from
+        // the file — which is cut off under the backend.  (Mapped, reading
+        // the cut-off page would raise SIGBUS instead of failing the read.)
         let dir = std::env::temp_dir().join(format!("subzero-kv-lost-{}", std::process::id()));
         let path = dir.join("lost.kv");
         let _ = std::fs::remove_file(&path);
         let mut b = FileBackend::open(&path).unwrap();
-        b.set_scan_mode(ScanMode::Pread);
         b.put_batch_slices(&[(b"cell", b"entry-ids")]);
+        unmap(&mut b);
         OpenOptions::new()
             .write(true)
             .open(&path)
@@ -1783,95 +1472,69 @@ mod tests {
         assert_eq!(b.get(&[7, 7, 7, 0]), None);
     }
 
-    fn scan_batch_contract(mut b: Box<dyn KvBackend>) {
-        // Mix of batched records, superseded records and one unflushed put.
-        b.put_batch(vec![
-            (b"a".to_vec(), b"1".to_vec()),
-            (b"b".to_vec(), b"2".to_vec()),
-            (b"c".to_vec(), b"3".to_vec()),
-        ]);
-        b.put_batch(vec![(b"b".to_vec(), b"22".to_vec())]); // supersedes
+    fn scan_slices_contract(mut b: Box<dyn KvBackend>) {
+        // Mix of group-written records, a superseded record and one
+        // unflushed put.
+        b.put_batch_slices(&[(b"a", b"1"), (b"b", b"2"), (b"c", b"3")]);
+        b.put_batch_slices(&[(b"b", b"22")]); // supersedes
         b.put(b"d", b"4"); // buffered, not yet flushed
-
+        let expected: Vec<KvPair> = [("a", "1"), ("b", "22"), ("c", "3"), ("d", "4")]
+            .iter()
+            .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+            .collect();
         for block in [1usize, 2, 64] {
-            let mut seen: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
             let mut blocks = 0usize;
-            b.scan_batch(block, &mut |pairs| {
-                blocks += 1;
-                assert!(pairs.len() <= block, "block overflow at size {block}");
-                seen.extend_from_slice(pairs);
-            });
-            seen.sort();
-            assert_eq!(
-                seen,
-                vec![
-                    (b"a".to_vec(), b"1".to_vec()),
-                    (b"b".to_vec(), b"22".to_vec()),
-                    (b"c".to_vec(), b"3".to_vec()),
-                    (b"d".to_vec(), b"4".to_vec()),
-                ],
-                "block size {block}"
-            );
-            assert!(blocks >= seen.len().div_ceil(block));
+            b.scan_slices(block, &mut |_| blocks += 1);
+            assert!(blocks >= expected.len().div_ceil(block));
+            assert_eq!(scanned(&*b, block), expected, "block size {block}");
         }
-
-        // After a flush the file backend takes its sequential path; results
-        // must be identical.
+        // After a flush the file backend scans its mapped log; results must
+        // be identical.
         b.flush().unwrap();
-        let mut seen: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        b.scan_batch(2, &mut |pairs| seen.extend_from_slice(pairs));
-        seen.sort();
-        assert_eq!(seen.len(), 4);
-        assert_eq!(seen[1], (b"b".to_vec(), b"22".to_vec()));
+        assert_eq!(scanned(&*b, 2), expected);
     }
 
     #[test]
-    fn mem_backend_scan_batch_contract() {
-        scan_batch_contract(Box::new(MemBackend::new()));
+    fn mem_backend_scan_slices_contract() {
+        scan_slices_contract(Box::new(MemBackend::new()));
     }
 
     #[test]
-    fn file_backend_scan_batch_contract() {
+    fn file_backend_scan_slices_contract() {
         let dir = std::env::temp_dir().join(format!("subzero-kv-scan-{}", std::process::id()));
         let path = dir.join("scan.kv");
         let _ = std::fs::remove_file(&path);
-        scan_batch_contract(Box::new(FileBackend::open(&path).unwrap()));
+        scan_slices_contract(Box::new(FileBackend::open(&path).unwrap()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn file_backend_scan_batch_spans_chunk_boundaries() {
-        // Values larger than the pread chunk force the carry-buffer path:
-        // records parse correctly across refills.  Pin ScanMode::Pread so
-        // the mmap fast path can't serve the scan in one slice.
+    fn file_backend_pread_scan_spans_chunk_boundaries() {
+        // Values larger than the read chunk force the carry-buffer path:
+        // records parse correctly across refills.
         let dir = std::env::temp_dir().join(format!("subzero-kv-scanbig-{}", std::process::id()));
         let path = dir.join("scanbig.kv");
         let _ = std::fs::remove_file(&path);
         let mut b = FileBackend::open(&path).unwrap();
-        b.set_scan_mode(ScanMode::Pread);
-        let items: Vec<(Vec<u8>, Vec<u8>)> =
-            (0..8u8).map(|i| (vec![i], vec![i; 100_000])).collect();
-        b.put_batch(items.clone());
-        for chunk in [DEFAULT_SCAN_CHUNK, 4096, 37] {
-            b.set_scan_chunk(chunk);
-            assert_eq!(b.scan_chunk(), chunk);
-            let mut seen: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            b.scan_batch(3, &mut |pairs| seen.extend_from_slice(pairs));
-            seen.sort();
-            assert_eq!(seen, items, "scan chunk {chunk}");
+        let items: Vec<KvPair> = (0..8u8).map(|i| (vec![i], vec![i; 100_000])).collect();
+        let refs: Vec<KvRef> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        b.put_batch_slices(&refs);
+        for chunk in [SCAN_CHUNK, 4096, 37] {
+            assert_eq!(scanned_chunked(&b, chunk, 3), items, "scan chunk {chunk}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_backend_mmap_and_pread_scans_are_identical() {
-        // The same backend must serve byte-identical scans, slice scans and
-        // point reads in both modes.
+        // The same backend must serve identical scans and point reads from
+        // its mapping and, with the mapping dropped, through positioned
+        // reads.
         let dir = std::env::temp_dir().join(format!("subzero-kv-modes-{}", std::process::id()));
         let path = dir.join("modes.kv");
         let _ = std::fs::remove_file(&path);
         let mut b = FileBackend::open(&path).unwrap();
-        let items: Vec<(Vec<u8>, Vec<u8>)> = (0..257u32)
+        let items: Vec<KvPair> = (0..257u32)
             .map(|i| {
                 (
                     i.to_be_bytes().to_vec(),
@@ -1879,58 +1542,38 @@ mod tests {
                 )
             })
             .collect();
-        b.put_batch(items.clone());
-        b.put_batch(vec![(0u32.to_be_bytes().to_vec(), b"superseded".to_vec())]);
+        let refs: Vec<KvRef> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        b.put_batch_slices(&refs);
+        b.put_batch_slices(&[(&0u32.to_be_bytes(), b"superseded")]);
+        let gets =
+            |b: &FileBackend| [0u32, 7, 256, 257].map(|i| b.get(&i.to_be_bytes()).map(|v| (i, v)));
 
-        let collect = |b: &FileBackend| {
-            let mut owned: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            b.scan_batch(13, &mut |pairs| owned.extend_from_slice(pairs));
-            owned.sort();
-            let mut sliced: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-            b.scan_slices(13, &mut |pairs| {
-                sliced.extend(pairs.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
-            });
-            sliced.sort();
-            assert_eq!(owned, sliced, "scan_batch and scan_slices disagree");
-            owned
-        };
-
-        b.set_scan_mode(ScanMode::Mmap);
-        let via_mmap = collect(&b);
-        b.set_scan_mode(ScanMode::Pread);
-        let via_pread = collect(&b);
+        let via_mmap = (scanned(&b, 13), gets(&b));
+        unmap(&mut b);
+        let via_pread = (scanned(&b, 13), gets(&b));
         assert_eq!(via_mmap, via_pread);
-        assert_eq!(via_mmap.len(), 257);
-        assert_eq!(via_mmap[0].1, b"superseded".to_vec());
-
-        for mode in [ScanMode::Mmap, ScanMode::Pread] {
-            b.set_scan_mode(mode);
-            assert_eq!(b.scan_mode(), mode);
-            for i in [0u32, 7, 256] {
-                let got = b.get(&i.to_be_bytes()).expect("key present");
-                let want = if i == 0 {
-                    b"superseded".to_vec()
-                } else {
-                    vec![i as u8; 1 + (i as usize % 97)]
-                };
-                assert_eq!(got, want, "mode {mode:?} key {i}");
-            }
-        }
+        assert_eq!(via_mmap.0.len(), 257);
+        assert_eq!(via_mmap.0[0].1, b"superseded".to_vec());
+        assert_eq!(via_mmap.1[0], Some((0, b"superseded".to_vec())));
+        assert_eq!(via_mmap.1[2], Some((256, vec![0; 1 + 256 % 97])));
+        assert_eq!(via_mmap.1[3], None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn file_backend_positioned_reads_are_concurrent() {
-        // The reader handle carries no cursor: point lookups and full scans
-        // from many threads must all see consistent records.
+        // The reader handle carries no cursor: unmapped point lookups and
+        // full scans from many threads must all see consistent records.
         let dir = std::env::temp_dir().join(format!("subzero-kv-pread-{}", std::process::id()));
         let path = dir.join("pread.kv");
         let _ = std::fs::remove_file(&path);
         let mut b = FileBackend::open(&path).unwrap();
-        let items: Vec<(Vec<u8>, Vec<u8>)> = (0..64u32)
+        let items: Vec<KvPair> = (0..64u32)
             .map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 100 + i as usize]))
             .collect();
-        b.put_batch(items.clone());
+        let refs: Vec<KvRef> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        b.put_batch_slices(&refs);
+        unmap(&mut b);
         let b = &b;
         std::thread::scope(|scope| {
             for t in 0..4 {
@@ -1939,31 +1582,92 @@ mod tests {
                         let got = b.get(&i.to_be_bytes()).expect("key present");
                         assert_eq!(got, vec![i as u8; 100 + i as usize]);
                     }
-                    let mut seen = 0usize;
-                    b.scan_batch(7, &mut |pairs| seen += pairs.len());
-                    assert_eq!(seen, 64);
+                    assert_eq!(scanned(b, 7).len(), 64);
                 });
             }
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn database_merge_reads_then_writes() {
-        let mut db = Database::new("m", Box::new(MemBackend::new()));
-        db.merge(b"k", |old| {
-            assert!(old.is_none());
-            b"a".to_vec()
-        });
-        db.merge(b"k", |old| {
-            let mut v = old.unwrap();
-            v.extend_from_slice(b"b");
-            v
-        });
-        assert_eq!(db.get(b"k").as_deref(), Some(&b"ab"[..]));
-        let (puts, gets) = db.access_stats();
-        assert_eq!(puts, 2);
-        assert_eq!(gets, 1);
+    /// A key of the positioned-read model: the id picks the fill byte and a
+    /// length on either side of the inline-key capacity.
+    fn model_key(id: u8) -> Vec<u8> {
+        vec![id; 1 + 3 * id as usize]
+    }
+
+    proptest! {
+        #[test]
+        fn pread_reads_match_mapped_reads(
+            // Random logs of single puts, group puts, group writes and
+            // appends, with superseded records, one reopen, and writes made
+            // unmapped so appends read the values they extend through
+            // positioned reads.
+            ops in prop::collection::vec(
+                (0u8..4, prop::collection::vec((0u8..12, prop::collection::vec(any::<u8>(), 0..24)), 0..6)),
+                1..24,
+            ),
+            reopen_at in 0usize..24,
+            chunk in 1usize..17,
+        ) {
+            let dir = std::env::temp_dir()
+                .join(format!("subzero-kv-pread-model-{}", std::process::id()));
+            let path = dir.join("model.kv");
+            let _ = std::fs::remove_file(&path);
+            let mut b = FileBackend::open(&path).unwrap();
+            let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
+            let mut expected: Vec<KvPair> = Vec::new();
+            for (step, (kind, raw)) in ops.iter().enumerate() {
+                if step == reopen_at {
+                    b.flush().unwrap();
+                    drop(b);
+                    b = FileBackend::open(&path).unwrap();
+                }
+                let items: Vec<(Vec<u8>, &[u8])> = raw
+                    .iter()
+                    .map(|(id, bytes)| (model_key(*id), bytes.as_slice()))
+                    .collect();
+                let refs: Vec<KvRef> = items.iter().map(|(k, v)| (&k[..], *v)).collect();
+                let (puts, appends) = match kind {
+                    0 => (&refs[..refs.len().min(1)], &[][..]),
+                    1 => (&refs[..], &[][..]),
+                    2 => refs.split_at(refs.len() / 2),
+                    _ => (&[][..], &refs[..]),
+                };
+                unmap(&mut b);
+                if *kind == 0 {
+                    // One record, left pending until the flush maps it.
+                    for &(k, v) in puts {
+                        b.put(k, v);
+                    }
+                    b.flush().unwrap();
+                } else {
+                    b.write_group(puts, appends);
+                }
+                for &(k, v) in puts {
+                    model.insert(k.to_vec(), v.to_vec());
+                }
+                for &(k, v) in appends {
+                    model.entry(k.to_vec()).or_default().extend_from_slice(v);
+                }
+                // The write mapped the log again: mapped reads against the
+                // model, then the same reads unmapped.  Superseded records
+                // written since the last sort must be skipped either way.
+                expected = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                let gets = |b: &FileBackend| (0..13).map(|id| b.get(&model_key(id))).collect::<Vec<_>>();
+                let mapped = gets(&b);
+                prop_assert_eq!(&mapped, &(0..13).map(|id| model.get(&model_key(id)).cloned()).collect::<Vec<_>>());
+                prop_assert_eq!(&scanned(&b, 5), &expected);
+                unmap(&mut b);
+                prop_assert_eq!(&gets(&b), &mapped);
+                prop_assert_eq!(&scanned(&b, 5), &expected);
+                prop_assert_eq!(&scanned_chunked(&b, chunk, 5), &expected);
+            }
+            for chunk in 1..=16 {
+                prop_assert_eq!(&scanned_chunked(&b, chunk, 3), &expected);
+            }
+            drop(b);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

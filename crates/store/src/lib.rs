@@ -13,8 +13,9 @@
 //! This crate provides all three pieces, self-contained:
 //!
 //! * [`kv`] — an embedded hash-bucket key-value store with an in-memory
-//!   backend and an append-only-file backend, one [`Database`] per operator
-//!   datastore, with log files named by [`sanitize_name`].
+//!   backend and an append-only-file backend behind one [`KvBackend`]
+//!   trait, one store per operator datastore, with log files named by
+//!   [`sanitize_name`].
 //! * [`wal`] — the durable write-ahead log: black-box execution records plus
 //!   the prepare/commit/checkpoint records of the transactional run-commit
 //!   path, with torn-tail-truncating replay and directory recovery.
@@ -38,7 +39,7 @@ pub mod wal;
 
 pub use codec::{Arena, CellRun, ScanFrame, Span};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use kv::{sanitize_name, Database, KvBackend, ScanMode};
+pub use kv::{sanitize_name, KvBackend};
 pub use rtree::RTree;
 pub use wal::{
     recover_dir, RecoveryPlan, RecoveryReport, WalEntry, WalFileLen, WalRecord, WriteAheadLog,

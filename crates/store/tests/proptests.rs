@@ -6,7 +6,7 @@ use subzero_store::codec::{
     decode_cells, decode_cells_at, decode_cells_block, encode_cells, encode_cells_into,
     encode_payload, pack_coord, read_varint, skip_cells_block, write_varint, Arena, ScanFrame,
 };
-use subzero_store::kv::{FileBackend, KvBackend, MemBackend, ScanMode};
+use subzero_store::kv::{FileBackend, KvBackend, MemBackend};
 use subzero_store::RTree;
 
 /// A scratch path for one property test's file backend, cleaned up by the
@@ -173,31 +173,13 @@ proptest! {
             (0u8..8, prop::collection::vec((0u8..18, prop::collection::vec(any::<u8>(), 0..20)), 0..6)),
             1..40,
         ),
-        chunk in 1usize..17,
     ) {
         run_kv_model(Box::new(MemBackend::new()), None, &ops)?;
-        // The third leg reads the log in chunks of a few bytes, so records
-        // straddle chunk boundaries and the scan's walk over the superseded
-        // offsets resumes at every chunk: the default 256 KiB chunk never
-        // splits a model log.
-        for (mode, chunk) in [
-            (ScanMode::Mmap, None),
-            (ScanMode::Pread, None),
-            (ScanMode::Pread, Some(chunk)),
-        ] {
-            let path = scratch_file(&format!("model-{mode:?}-{}", chunk.is_some()));
-            let _ = std::fs::remove_file(&path);
-            let open = || -> Box<dyn KvBackend> {
-                let mut file = FileBackend::open(&path).unwrap();
-                file.set_scan_mode(mode);
-                if let Some(bytes) = chunk {
-                    file.set_scan_chunk(bytes);
-                }
-                Box::new(file)
-            };
-            run_kv_model(open(), Some(&open), &ops)?;
-            let _ = std::fs::remove_file(&path);
-        }
+        let path = scratch_file("model");
+        let _ = std::fs::remove_file(&path);
+        let open = || -> Box<dyn KvBackend> { Box::new(FileBackend::open(&path).unwrap()) };
+        run_kv_model(open(), Some(&open), &ops)?;
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -424,13 +406,7 @@ proptest! {
         for (i, (k, v)) in ops.iter().enumerate() {
             let key = [b'k', *k];
             if i >= batch_from {
-                // Exercise both batched write paths against the same oracle:
-                // owned records and zero-copy arena slices.
-                if i % 2 == 0 {
-                    file.put_batch(vec![(key.to_vec(), v.clone())]);
-                } else {
-                    file.put_batch_slices(&[(&key[..], v.as_slice())]);
-                }
+                file.put_batch_slices(&[(&key[..], v.as_slice())]);
             } else {
                 file.put(&key, v);
             }

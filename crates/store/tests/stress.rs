@@ -1,23 +1,23 @@
 //! Stress tests for concurrent `FileBackend` access.
 //!
-//! The capture pipeline's flushers append lineage batches (`put_batch`)
-//! while query sessions stream the same databases back (`scan_batch`,
-//! point `get`s) through the backend's shared cursor-less reader handle.
-//! These tests drive many reader threads against an interleaved writer at
-//! full speed so the ThreadSanitizer CI lane (`ci.yml` `tsan` job) can
-//! observe the positioned-read paths under real contention — several
-//! threads issuing overlapping `pread`s on one `File` — and so the
+//! The capture pipeline's flushers append lineage batches (group writes)
+//! while query sessions stream the same stores back (`scan_slices`, point
+//! `get`s) through the backend's one shared mapping of the log.  These
+//! tests drive many reader threads against an interleaved writer at full
+//! speed so the ThreadSanitizer CI lane (`ci.yml` `tsan` job) can observe
+//! the read paths under real contention — several threads reading one
+//! mapping while the writer remaps it between batches — and so the
 //! consistency invariants (a reader never sees a torn record or a partial
 //! batch) hold under every interleaving the scheduler produces.
 //!
 //! Writer exclusivity mirrors production: flushers mutate a store only
-//! under its shard lock, so the test arbitrates `put_batch` vs readers
+//! under its shard lock, so the test arbitrates group writes vs readers
 //! with an `RwLock` and lets everything *inside* the read side race.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
-use subzero_store::kv::{FileBackend, KvBackend, ScanMode};
+use subzero_store::kv::{FileBackend, KvBackend};
 
 /// Batches appended by the writer; readers assert they only ever observe
 /// whole batches.
@@ -34,8 +34,14 @@ fn record(batch: usize, i: usize) -> (Vec<u8>, Vec<u8>) {
     (id.to_be_bytes().to_vec(), val)
 }
 
+/// Writes `items` to `backend` as one group.
+fn put_all(backend: &mut FileBackend, items: &[(Vec<u8>, Vec<u8>)]) {
+    let refs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+    backend.put_batch_slices(&refs);
+}
+
 #[test]
-fn readers_race_scan_batch_against_put_batch_flushes() {
+fn readers_race_scans_against_group_write_flushes() {
     let dir = std::env::temp_dir().join(format!("subzero-kv-stress-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("stress.kv");
@@ -57,8 +63,8 @@ fn readers_race_scan_batch_against_put_batch_flushes() {
                     let guard = backend.read().unwrap();
                     // Full streamed scan: whole batches only, values intact.
                     let mut count = 0usize;
-                    guard.scan_batch(7, &mut |pairs| {
-                        for (key, value) in pairs {
+                    guard.scan_slices(7, &mut |pairs| {
+                        for &(key, value) in pairs {
                             let expected: Vec<u8> = key.iter().cycle().take(64).copied().collect();
                             assert_eq!(value, &expected, "torn record for key {key:?}");
                         }
@@ -85,7 +91,7 @@ fn readers_race_scan_batch_against_put_batch_flushes() {
         scope.spawn(move || {
             for batch in 0..BATCHES {
                 let items: Vec<_> = (0..BATCH).map(|i| record(batch, i)).collect();
-                backend.write().unwrap().put_batch(items);
+                put_all(&mut backend.write().unwrap(), &items);
                 // Brief yield so readers interleave between flushes.
                 std::thread::yield_now();
             }
@@ -102,93 +108,9 @@ fn readers_race_scan_batch_against_put_batch_flushes() {
 }
 
 #[test]
-fn mmap_and_pread_scans_agree_under_flush_race() {
-    // Same reader-vs-flush race as above, but run against two backends over
-    // identical data pinned to the two scan modes.  Every observation a
-    // reader makes must be identical between the mmap'd read path and the
-    // pread fallback — same batches, same bytes, in the same order — so the
-    // zero-copy region can never serve a view the portable path wouldn't.
-    let dir = std::env::temp_dir().join(format!("subzero-kv-stress-modes-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mmap_path = dir.join("race-mmap.kv");
-    let pread_path = dir.join("race-pread.kv");
-    let _ = std::fs::remove_file(&mmap_path);
-    let _ = std::fs::remove_file(&pread_path);
-
-    let mut mmap = FileBackend::open(&mmap_path).unwrap();
-    mmap.set_scan_mode(ScanMode::Mmap);
-    let mut pread = FileBackend::open(&pread_path).unwrap();
-    pread.set_scan_mode(ScanMode::Pread);
-    // One lock over the pair: the writer appends each batch to both backends
-    // atomically, so readers always compare like-for-like states.
-    let backends = RwLock::new((mmap, pread));
-    let done = AtomicBool::new(false);
-    let max_seen = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        let backends = &backends;
-        let done = &done;
-        let max_seen = &max_seen;
-
-        for reader in 0..READERS {
-            scope.spawn(move || {
-                let mut last_count = 0usize;
-                while !done.load(Ordering::Acquire) || last_count < BATCHES * BATCH {
-                    let guard = backends.read().unwrap();
-                    let (m, p) = &*guard;
-                    let mut via_mmap: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                    m.scan_slices(7, &mut |pairs| {
-                        via_mmap.extend(pairs.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
-                    });
-                    let mut via_pread: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-                    p.scan_slices(7, &mut |pairs| {
-                        via_pread.extend(pairs.iter().map(|&(k, v)| (k.to_vec(), v.to_vec())));
-                    });
-                    assert_eq!(via_mmap, via_pread, "scan modes diverged");
-                    let count = via_mmap.len();
-                    assert_eq!(count % BATCH, 0, "reader saw a partial batch: {count}");
-                    assert!(
-                        count >= last_count,
-                        "scan went backwards: {count} < {last_count}"
-                    );
-                    last_count = count;
-                    // Point reads must agree between the modes too.
-                    if count > 0 {
-                        let i = (reader * 13) % count;
-                        let (key, val) = record(i / BATCH, i % BATCH);
-                        assert_eq!(m.get(&key).as_deref(), Some(&val[..]));
-                        assert_eq!(p.get(&key).as_deref(), Some(&val[..]));
-                    }
-                    max_seen.fetch_max(count, Ordering::Release);
-                }
-            });
-        }
-
-        scope.spawn(move || {
-            for batch in 0..BATCHES {
-                let items: Vec<_> = (0..BATCH).map(|i| record(batch, i)).collect();
-                let mut guard = backends.write().unwrap();
-                guard.0.put_batch(items.clone());
-                guard.1.put_batch(items);
-                drop(guard);
-                std::thread::yield_now();
-            }
-            done.store(true, Ordering::Release);
-        });
-    });
-
-    assert_eq!(
-        max_seen.load(Ordering::Acquire),
-        BATCHES * BATCH,
-        "readers never observed the fully-flushed backends"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn point_gets_race_scans_on_a_fully_written_backend() {
-    // All-reader contention: every thread hammers the single shared reader
-    // handle with interleaved positioned reads — the pattern the TSan lane
+    // All-reader contention: every thread hammers the one shared mapping
+    // with interleaved scans and point reads — the pattern the TSan lane
     // must prove race-free without any write-side arbitration in the mix.
     let dir = std::env::temp_dir().join(format!("subzero-kv-stress-ro-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -199,7 +121,7 @@ fn point_gets_race_scans_on_a_fully_written_backend() {
     let items: Vec<_> = (0..BATCHES)
         .flat_map(|b| (0..BATCH).map(move |i| record(b, i)))
         .collect();
-    backend.put_batch(items);
+    put_all(&mut backend, &items);
     let backend = &backend;
 
     std::thread::scope(|scope| {
@@ -208,7 +130,7 @@ fn point_gets_race_scans_on_a_fully_written_backend() {
                 for round in 0..8 {
                     if (t + round) % 2 == 0 {
                         let mut count = 0usize;
-                        backend.scan_batch(11, &mut |pairs| count += pairs.len());
+                        backend.scan_slices(11, &mut |pairs| count += pairs.len());
                         assert_eq!(count, BATCHES * BATCH);
                     } else {
                         for i in (t..BATCHES * BATCH).step_by(READERS * 2) {

@@ -149,7 +149,6 @@ fn file_is_exempt(path: &str) -> bool {
     path.starts_with("crates/shims/")
         || path.starts_with("xtask/")
         || path.contains("/tests/")
-        || path.contains("/benches/")
         || path.contains("/examples/")
 }
 
