@@ -768,9 +768,8 @@ impl CellSet {
 
     /// Promotes every non-empty chunk to the dense representation, turning
     /// [`contains_linear`] and [`intersect_sorted`] probes into O(1) word
-    /// tests.  Scan joins call this on a clone of the query before probing
-    /// it once per stored record; pair with [`optimize`] to re-compact when
-    /// the probe-heavy phase is over.  Costs 8 KiB per promoted chunk, so
+    /// tests, for a set about to be probed many times; pair with
+    /// [`optimize`] to re-compact when the probe-heavy phase is over.  Costs 8 KiB per promoted chunk, so
     /// only chunks that already hold cells are touched.
     ///
     /// [`contains_linear`]: CellSet::contains_linear
@@ -821,9 +820,9 @@ impl CellSet {
 
     /// Intersects a sorted (non-decreasing) slice of linear indices against
     /// the set, invoking `on_hit` for each member, in order.  Returns `true`
-    /// if there was at least one hit.  This is the join's hot path: dense
-    /// chunks answer with a word probe, sparse and run chunks with a linear
-    /// merge over the (already sorted) scan indices.
+    /// if there was at least one hit.  Dense chunks answer with a word
+    /// probe, sparse and run chunks with a linear merge over the (already
+    /// sorted) indices.
     pub fn intersect_sorted(&self, idxs: &[u64], mut on_hit: impl FnMut(u64)) -> bool {
         let mut any = false;
         let mut i = 0usize;

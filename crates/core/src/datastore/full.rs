@@ -12,8 +12,8 @@ use super::{
     cache_shards, candidate_entries, encode_shards, fan_out, Base, LookupOutcome, SCAN_BLOCK,
 };
 use crate::encoder::{
-    self, decode_entry_ids_into, decode_full_entry_frame, decode_key_linear, DecodedKeyLinear,
-    FullEntryRuns, PackedCellKey,
+    self, decode_entry_ids_into, decode_full_entry_frame, decode_key_linear, for_each_entry_id,
+    DecodedKeyLinear, FullEntryRuns, PackedCellKey,
 };
 use crate::model::{Direction, Granularity};
 
@@ -517,17 +517,22 @@ impl FullRecords {
 
 /// Answers a batch of mismatched-direction lookups over a `Full` store in
 /// one streamed pass of [`KvBackend::scan_slices`] that joins while it
-/// decodes, in memory independent of the store's size beyond one hit mask
-/// per entry (see [`EntryHits`]).
+/// decodes, in memory independent of the store's size beyond two bits per
+/// entry and one mask per hit entry and per query cell (see [`EntryHits`]).
 ///
-/// Each entry record decodes into one reused [`ScanFrame`] and is probed
-/// once against every densified query, leaving its hit mask; a `Many`
-/// store's hit entries contribute their answer-side cells right there.  A
-/// `One` store's cell records — keyed on the answer side — join as they
-/// stream by: a record's cell answers every query that hits an entry it
-/// names.  A record naming an entry not yet scanned is deferred and joined
-/// after the pass, so answers never depend on scan order; on a file log a
-/// live cell record follows every entry it names, and nothing is deferred.
+/// Each entry record decodes into one reused [`ScanFrame`] and probes the
+/// union of the batch's queries once per query-side cell; only the cells
+/// that meet it cost a walk of their queries, leaving the entry's hit mask,
+/// and a `Many` store's hit entries contribute their answer-side cells
+/// right there.  A `One` store's cell records — keyed on the answer side —
+/// join as they stream by: a record's cell answers every query that hits
+/// an entry it names.  Its ids are decoded in place and each is tested
+/// against the seen and hit bits; a mask is read only for a hit entry.  So
+/// the join costs a probe per entry cell and a bit test per named id, plus
+/// work per hit, not per record and query.  A record naming an entry not
+/// yet scanned is deferred and joined after the pass, so answers never
+/// depend on scan order; on a file log a live cell record follows every
+/// entry it names, and nothing is deferred.
 fn scan_join_full(
     store: &Base,
     queries: &[&CellSet],
@@ -536,52 +541,53 @@ fn scan_join_full(
     empty_outcome: impl Fn() -> LookupOutcome,
 ) -> Vec<LookupOutcome> {
     let (query_side, answer_side) = RecordSide::of(direction, input_idx);
-    let granularity = store.strategy.granularity;
+    let many = store.strategy.granularity == Granularity::Many;
     let (out_cells, in_cells) = (store.out_cells, &store.in_cells[..]);
-    // One densified clone per query turns the per-entry membership probes
-    // into O(1) word tests; the few-KiB promotion amortises over the scan.
-    let probes: Vec<CellSet> = queries
-        .iter()
-        .map(|&query| {
-            let mut probe = CellSet::clone(query);
-            probe.densify();
-            probe
-        })
-        .collect();
+    let words = queries.len().div_ceil(64);
+    // The union of the queries, as a map from each query-side cell to the
+    // queries holding it: an entry probes it once per cell, and only the
+    // cells it holds cost a walk of their queries.
+    let mut union = MaskMap::new(words);
+    for (q, query) in queries.iter().enumerate() {
+        for cell in query.iter_linear() {
+            union.entry(cell as u64)[q / 64] |= 1 << (q % 64);
+        }
+    }
     let mut outs: Vec<LookupOutcome> = queries.iter().map(|_| empty_outcome()).collect();
     // Hits gather in flat per-query lists, merged into the answer sets once
     // they outgrow them (`absorb`) and at the end.
     let mut covered: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
     let mut result: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-    let mut hits = EntryHits::new(queries.len(), store.dense_entry_ids());
+    let mut hits = EntryHits::new(words, store.dense_entry_ids());
     let mut frame = ScanFrame::default();
-    let (mut ids, mut named) = (Vec::new(), vec![0u64; hits.words]);
+    let (mut mask, mut named) = (vec![0u64; words], vec![0u64; words]);
     let mut deferred: Vec<(u64, u64)> = Vec::new();
     let mut fetched = 0usize;
     store.db.scan_slices(SCAN_BLOCK, &mut |block| {
         for &(key, value) in block {
             let cell = match decode_key_linear(out_cells, in_cells, key) {
                 Ok(DecodedKeyLinear::Entry(id)) => {
-                    fetched += (granularity == Granularity::Many) as usize;
-                    let mask = hits.insert(id);
+                    fetched += many as usize;
+                    mask.fill(0);
                     frame.clear();
-                    let Ok(runs) =
+                    if let Ok(runs) =
                         decode_full_entry_frame(&mut frame, out_cells, in_cells, input_idx, value)
-                    else {
-                        continue;
-                    };
-                    let cells = frame.run(query_side.run(runs));
-                    for (q, probe) in probes.iter().enumerate() {
-                        if probe.intersect_sorted(cells, |c| covered[q].push(c)) {
-                            mask[q / 64] |= 1 << (q % 64);
-                            if granularity == Granularity::Many {
-                                result[q].extend_from_slice(frame.run(answer_side.run(runs)));
+                    {
+                        for &c in frame.run(query_side.run(runs)) {
+                            if let Some(cell_mask) = union.get(c) {
+                                for_each_bit(cell_mask, |q| covered[q].push(c));
+                                mask.iter_mut().zip(cell_mask).for_each(|(m, b)| *m |= b);
                             }
                         }
+                        if many {
+                            let answer = frame.run(answer_side.run(runs));
+                            for_each_bit(&mask, |q| result[q].extend_from_slice(answer));
+                        }
                     }
+                    hits.insert(id, &mask);
                     continue;
                 }
-                _ if granularity == Granularity::Many => continue,
+                _ if many => continue,
                 Ok(DecodedKeyLinear::OutCell(cell)) if answer_side == RecordSide::Out => cell,
                 Ok(DecodedKeyLinear::InCell {
                     input_idx: i,
@@ -589,20 +595,31 @@ fn scan_join_full(
                 }) if answer_side == RecordSide::In(i) => index,
                 _ => continue,
             };
-            // A torn id list decodes to no ids.
-            ids.clear();
-            let _ = decode_entry_ids_into(&mut ids, value);
-            named.fill(0);
-            for &id in &ids {
-                match hits.get(id) {
-                    Some(mask) => {
-                        fetched += 1;
-                        named.iter_mut().zip(mask).for_each(|(n, m)| *n |= m);
+            // A torn id list contributes nothing and counts nothing: its
+            // deferrals are undone and its hits dropped.
+            let mark = deferred.len();
+            let (mut scanned, mut hit) = (0usize, false);
+            let ids = for_each_entry_id(value, |id| match hits.get(id) {
+                Some(entry_mask) => {
+                    scanned += 1;
+                    if !entry_mask.is_empty() {
+                        if !hit {
+                            named.fill(0);
+                            hit = true;
+                        }
+                        named.iter_mut().zip(entry_mask).for_each(|(n, m)| *n |= m);
                     }
-                    None => deferred.push((cell, id)),
                 }
+                None => deferred.push((cell, id)),
+            });
+            if ids.is_err() {
+                deferred.truncate(mark);
+                continue;
             }
-            for_each_bit(&named, |q| result[q].push(cell));
+            fetched += scanned;
+            if hit {
+                for_each_bit(&named, |q| result[q].push(cell));
+            }
         }
         for (q, out) in outs.iter_mut().enumerate() {
             absorb(&mut out.covered, &mut covered[q]);
@@ -610,9 +627,9 @@ fn scan_join_full(
         }
     });
     for (cell, id) in deferred {
-        if let Some(mask) = hits.get(id) {
+        if let Some(entry_mask) = hits.get(id) {
             fetched += 1;
-            for_each_bit(mask, |q| result[q].push(cell));
+            for_each_bit(entry_mask, |q| result[q].push(cell));
         }
     }
     for (q, out) in outs.iter_mut().enumerate() {
@@ -690,60 +707,103 @@ impl RecordSide {
     }
 }
 
-/// Per-query hit bits of every entry a scan has decoded: bit `q` of an
-/// entry's mask is set when the entry's query-side cells meet query `q`.
+/// Which entries a scan has decoded and which queries each one hits: bit
+/// `q` of an entry's mask is set when the entry's query-side cells meet
+/// query `q`.
 ///
 /// Ids below the store's next entry id — every id a well-formed log holds —
-/// index a dense table; any other id falls back to a map, so a corrupt log
-/// is answered as it always was.
+/// get a seen bit and a hit bit, two bitsets small enough to stay in cache
+/// while cell records test them; only hit entries keep a mask.  Any other
+/// id keeps its mask, hit or not, so a corrupt log is answered as it always
+/// was.
 struct EntryHits {
-    /// Mask words per entry: one bit per query.
-    words: usize,
-    /// `words` per dense id, back to back.
-    dense: Vec<u64>,
-    /// Whether the dense id's entry record has been scanned.
-    seen: Vec<bool>,
-    /// Masks of scanned ids at or past the dense range.
-    sparse: FxHashMap<u64, Box<[u64]>>,
+    /// Ids below this are dense.
+    dense_ids: usize,
+    /// Bit `i`: the entry record of dense id `i` has been scanned.
+    seen: Vec<u64>,
+    /// Bit `i`: the entry of dense id `i` hits at least one query.
+    hit: Vec<u64>,
+    /// The masks of hit dense ids and of every scanned id past the dense
+    /// range.
+    masks: MaskMap,
 }
 
 impl EntryHits {
-    fn new(queries: usize, dense_ids: usize) -> Self {
-        let words = queries.div_ceil(64);
+    fn new(words: usize, dense_ids: usize) -> Self {
         EntryHits {
-            words,
-            dense: vec![0; dense_ids * words],
-            seen: vec![false; dense_ids],
-            sparse: FxHashMap::default(),
+            dense_ids,
+            seen: vec![0; dense_ids.div_ceil(64)],
+            hit: vec![0; dense_ids.div_ceil(64)],
+            masks: MaskMap::new(words),
         }
     }
 
-    /// The dense slot of entry `id`, if it has one.
-    fn slot(&self, id: u64) -> Option<usize> {
-        usize::try_from(id).ok().filter(|&i| i < self.seen.len())
+    /// The dense bit of entry `id` — its word index and bit — if it has
+    /// one.
+    fn slot(&self, id: u64) -> Option<(usize, u64)> {
+        let i = usize::try_from(id).ok().filter(|&i| i < self.dense_ids)?;
+        Some((i / 64, 1 << (i % 64)))
     }
 
-    /// Marks entry `id` scanned and returns its mask.
-    fn insert(&mut self, id: u64) -> &mut [u64] {
-        let words = self.words;
-        match self.slot(id) {
-            Some(i) => {
-                self.seen[i] = true;
-                &mut self.dense[i * words..][..words]
+    /// Marks entry `id` scanned, hitting the queries of `mask` (ORed into
+    /// what an earlier record of the id left).
+    fn insert(&mut self, id: u64, mask: &[u64]) {
+        if let Some((w, bit)) = self.slot(id) {
+            self.seen[w] |= bit;
+            if mask.iter().all(|&m| m == 0) {
+                return;
             }
-            None => self
-                .sparse
-                .entry(id)
-                .or_insert_with(|| vec![0; words].into()),
+            self.hit[w] |= bit;
         }
+        let entry = self.masks.entry(id);
+        entry.iter_mut().zip(mask).for_each(|(m, b)| *m |= b);
     }
 
-    /// The mask of entry `id`, `None` until its entry record is scanned.
+    /// `None` until the entry record of `id` is scanned, then its mask —
+    /// empty for a dense id that hits no query.
+    #[inline]
     fn get(&self, id: u64) -> Option<&[u64]> {
         match self.slot(id) {
-            Some(i) => self.seen[i].then(|| &self.dense[i * self.words..][..self.words]),
-            None => self.sparse.get(&id).map(|mask| &mask[..]),
+            Some((w, bit)) if self.seen[w] & bit == 0 => None,
+            Some((w, bit)) if self.hit[w] & bit == 0 => Some(&[]),
+            _ => self.masks.get(id),
         }
+    }
+}
+
+/// Query masks of `words` words each, keyed by a cell or an entry id and
+/// kept back to back in one buffer.
+struct MaskMap {
+    words: usize,
+    /// Key -> offset of its mask in `masks`.
+    at: FxHashMap<u64, usize>,
+    masks: Vec<u64>,
+}
+
+impl MaskMap {
+    fn new(words: usize) -> Self {
+        MaskMap {
+            words,
+            at: FxHashMap::default(),
+            masks: Vec::new(),
+        }
+    }
+
+    /// The mask of `key`, zero when first asked for.
+    fn entry(&mut self, key: u64) -> &mut [u64] {
+        let MaskMap { words, at, masks } = self;
+        let at = *at.entry(key).or_insert_with(|| {
+            masks.resize(masks.len() + *words, 0);
+            masks.len() - *words
+        });
+        &mut masks[at..][..*words]
+    }
+
+    /// The mask of `key`, if it has one.
+    #[inline]
+    fn get(&self, key: u64) -> Option<&[u64]> {
+        let at = *self.at.get(&key)?;
+        Some(&self.masks[at..][..self.words])
     }
 }
 

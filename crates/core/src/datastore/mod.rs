@@ -595,8 +595,8 @@ impl OpDatastore {
     /// [`parallel`] (see [`set_workers`](OpDatastore::set_workers)),
     /// splitting the query batch into per-worker shards, each with its own
     /// decoded-entry cache.  The shared scan is one single-threaded pass that
-    /// joins while it decodes, in memory bounded by a hit mask per entry
-    /// plus the answers rather than by the store.  Results are deterministic
+    /// joins while it decodes, in memory bounded by two bits per entry plus
+    /// the answers rather than by the store.  Results are deterministic
     /// and identical at any worker count.
     ///
     /// The arm follows from the record type, from whether the store's index
@@ -1791,6 +1791,84 @@ mod tests {
                     }
                 }
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_join_takes_nothing_from_a_torn_cell_record() {
+        // A live cell record whose id list is torn adds no answer cell and
+        // counts none of its ids, whether the join meets it after the
+        // entries it names (log order) or before them (deferred).
+        let dir = std::env::temp_dir().join(format!("subzero-ds-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (m, op) = (meta(), RadiusOp);
+        let c = |r, col| Coord::d2(r, col);
+        let pairs = [
+            full_pair(&[c(1, 1)], &[c(3, 3), c(4, 4)], &[]),
+            full_pair(&[c(2, 2)], &[c(3, 3)], &[]),
+            full_pair(&[c(5, 5)], &[c(6, 6)], &[]),
+        ];
+        let shape = Shape::d2(8, 8);
+        let queries = [
+            query_of(shape, &[c(1, 1), c(2, 2)]),
+            query_of(shape, &[c(5, 5)]),
+        ];
+        let refs: Vec<&CellSet> = queries.iter().collect();
+        let strategy = StorageStrategy::full_one_forward();
+        for reorder in [false, true] {
+            let file = FileBackend::open(&dir.join(format!("torn-{reorder}.kv"))).unwrap();
+            let backend: Box<dyn KvBackend> = if reorder {
+                Box::new(CellsFirst(file))
+            } else {
+                Box::new(file)
+            };
+            let mut ds = OpDatastore::new("t", strategy, &m, backend);
+            ds.store_batch(&pairs, 1);
+            ds.finish_ingest();
+            let answers = |ds: &mut OpDatastore| {
+                let outs = ds.lookup_many(Direction::Backward, &refs, 0, &op, &m);
+                assert!(outs.iter().all(|o| o.scanned), "mismatched lookups scan");
+                let fetched = outs[0].entries_fetched;
+                assert!(outs.iter().all(|o| o.entries_fetched == fetched));
+                let cells = |o: &LookupOutcome| (o.result.to_coords(), o.covered.to_coords());
+                (outs.iter().map(cells).collect::<Vec<_>>(), fetched)
+            };
+            let intact = answers(&mut ds);
+            assert_eq!(
+                intact,
+                (
+                    vec![
+                        (vec![c(3, 3), c(4, 4)], vec![c(1, 1), c(2, 2)]),
+                        (vec![c(6, 6)], vec![c(5, 5)]),
+                    ],
+                    4
+                ),
+                "reorder {reorder}: every id of every cell record counts"
+            );
+            // Input cell (3, 3)'s record names both entries of the first
+            // query; a dangling continuation byte tears its id list.
+            let key = encoder::in_cell_key(&shape, 0, &c(3, 3));
+            let mut torn = ds.base.db.get(&key).unwrap();
+            assert_eq!(
+                encoder::decode_entry_ids_into(&mut Vec::new(), &torn),
+                Ok(2)
+            );
+            torn.push(0x80);
+            ds.base.db.put(&key, &torn);
+            ds.base.db.flush().unwrap();
+            assert_eq!(
+                answers(&mut ds),
+                (
+                    vec![
+                        (vec![c(4, 4)], vec![c(1, 1), c(2, 2)]),
+                        (vec![c(6, 6)], vec![c(5, 5)]),
+                    ],
+                    2
+                ),
+                "reorder {reorder}: the torn record adds no cell and counts no id"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -52,6 +52,9 @@ pub(super) struct PayRecords {
     /// Per-worker decoded-entry caches of the `PayMany` lookups, pinned to
     /// query shards like [`FullRecords`](super::full::FullRecords)' caches.
     caches: Vec<EntryCache>,
+    /// Per-worker scratch key and value of the `PayOne` lookups' record
+    /// reads, pinned to query shards the same way.
+    reads: Vec<(Vec<u8>, Vec<u8>)>,
 }
 
 impl PayRecords {
@@ -133,20 +136,23 @@ impl PayRecords {
             let mut fetched = 0usize;
             db.scan_slices(SCAN_BLOCK, &mut |block| {
                 for &(key, value) in block {
-                    let (cells, payloads) = match decode_key_linear(out_cells, in_cells, key) {
+                    match decode_key_linear(out_cells, in_cells, key) {
                         Ok(DecodedKeyLinear::OutCell(index)) => {
                             let Ok(cell) = codec::unpack_coord(&out_shape, index) else {
                                 continue;
                             };
-                            (vec![cell], decode_payloads(value).unwrap_or_default())
+                            let payloads = decode_payloads(value).unwrap_or_default();
+                            let cells = std::slice::from_ref(&cell);
+                            join_forward(&mut outs, queries, cells, &payloads, &map);
                         }
-                        Ok(DecodedKeyLinear::Entry(_)) => decode_pay_entry(&out_shape, value)
-                            .map(|e| (e.outcells, vec![e.payload]))
-                            .unwrap_or_default(),
+                        Ok(DecodedKeyLinear::Entry(_)) => {
+                            let entry = decode_pay_entry(&out_shape, value).unwrap_or_default();
+                            let payloads = std::slice::from_ref(&entry.payload);
+                            join_forward(&mut outs, queries, &entry.outcells, payloads, &map);
+                        }
                         _ => continue,
-                    };
+                    }
                     fetched += 1;
-                    join_forward(&mut outs, queries, &cells, &payloads, &map);
                 }
             });
             for out in &mut outs {
@@ -157,19 +163,25 @@ impl PayRecords {
         match store.strategy.granularity {
             // map_payload depends on the query cell, so only the record
             // fetches are shareable — and query cells rarely repeat across a
-            // batch; fan the per-query loops out without a cache.
-            Granularity::One => fan_out(queries, &mut vec![(); store.workers], |_, query| {
-                let mut out = empty_outcome(false);
-                for qc in query.iter() {
-                    let Some(value) = db.get(&encoder::out_cell_key(&out_shape, &qc)) else {
-                        continue;
-                    };
-                    out.entries_fetched += 1;
-                    let payloads = decode_payloads(&value).unwrap_or_default();
-                    join_backward(&mut out, query, &[qc], &payloads, &map);
-                }
-                out
-            }),
+            // batch; fan the per-query loops out without a cache, each worker
+            // reading records through its own key and value buffers.
+            Granularity::One => {
+                let reads = cache_shards(&mut self.reads, store.workers, queries.len());
+                fan_out(queries, reads, |(key, value), query| {
+                    let mut out = empty_outcome(false);
+                    for qc in query.iter() {
+                        key.clear();
+                        PackedCellKey::out_cell(&out_shape, &qc).write_into(key);
+                        if !db.get_into(key, value) {
+                            continue;
+                        }
+                        out.entries_fetched += 1;
+                        let payloads = decode_payloads(value).unwrap_or_default();
+                        join_backward(&mut out, query, &[qc], &payloads, &map);
+                    }
+                    out
+                })
+            }
             Granularity::Many => {
                 let caches = cache_shards(&mut self.caches, store.workers, queries.len());
                 fan_out(queries, caches, |cache, query| {

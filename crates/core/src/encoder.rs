@@ -338,17 +338,21 @@ pub fn decode_full_entry_frame(
 /// and errs.
 pub fn decode_entry_ids_into(ids: &mut Vec<u64>, value: &[u8]) -> Result<usize, CodecError> {
     let before = ids.len();
-    let mut pos = 0usize;
+    for_each_entry_id(value, |id| ids.push(id)).inspect_err(|_| ids.truncate(before))
+}
+
+/// Calls `f` with each entry id of one cell-record value, in order, decoded
+/// in place, and returns how many there were.  A torn list errs after `f`
+/// has seen the ids before the tear, so a caller that must take nothing
+/// from a torn record undoes what `f` did.
+#[inline]
+pub fn for_each_entry_id(value: &[u8], mut f: impl FnMut(u64)) -> Result<usize, CodecError> {
+    let (mut pos, mut n) = (0usize, 0usize);
     while pos < value.len() {
-        match read_varint(value, &mut pos) {
-            Ok(id) => ids.push(id),
-            Err(e) => {
-                ids.truncate(before);
-                return Err(e);
-            }
-        }
+        f(read_varint(value, &mut pos)?);
+        n += 1;
     }
-    Ok(ids.len() - before)
+    Ok(n)
 }
 
 /// A decoded *payload* entry body.

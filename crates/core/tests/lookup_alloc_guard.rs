@@ -1,14 +1,18 @@
-//! Allocation guard for warm indexed `Full` lookups.
+//! Allocation guard for warm indexed lookups.
 //!
 //! Once a worker's entry cache, its record-read buffers and the store's
-//! memo of cell records are warm, an indexed lookup answers each query cell
-//! from the memo and cached runs: what it allocates is a per-call constant
-//! (the outcome's two sets, the outcome vector), never a per-cell one.  A
-//! counting global allocator pins that for both indexed directions on a
-//! file-backed two-input store whose lookups alternate between the inputs
-//! — a `Vec` per record read creeping back into the query loop, or a cache
-//! that only stays warm for one input, shows up here as a thousand
-//! allocations.
+//! memo of cell records are warm, an indexed `Full` lookup answers each
+//! query cell from the memo and cached runs: what it allocates is a
+//! per-call constant (the outcome's two sets, the outcome vector), never a
+//! per-cell one.  A counting global allocator pins that for both indexed
+//! directions on a file-backed two-input store whose lookups alternate
+//! between the inputs — a `Vec` per record read creeping back into the
+//! query loop, or a cache that only stays warm for one input, shows up here
+//! as a thousand allocations.
+//!
+//! A `PayOne` lookup maps every stored payload through the operator, which
+//! allocates per query cell by design; its leg pins that its record reads,
+//! through per-worker key and value buffers, add no allocation to that.
 //!
 //! The allocator wrapper needs `unsafe impl GlobalAlloc`; `cargo xtask lint`
 //! exempts `tests/` from its `unsafe` confinement.  This file holds exactly
@@ -58,7 +62,8 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// Indexed `Full` lookups never call into the operator.
+/// Indexed `Full` lookups never call into the operator; a payload lookup
+/// maps every stored payload to the output cell it was stored for.
 struct Identity;
 
 impl Operator for Identity {
@@ -71,6 +76,15 @@ impl Operator for Identity {
     fn run(&self, inputs: &[ArrayRef], _m: &[LineageMode], _s: &mut dyn LineageSink) -> Array {
         (*inputs[0]).clone()
     }
+    fn map_payload(
+        &self,
+        outcell: &Coord,
+        _payload: &[u8],
+        _input_idx: usize,
+        _meta: &OpMeta,
+    ) -> Option<Vec<Coord>> {
+        Some(vec![*outcell])
+    }
 }
 
 const SIDE: u32 = 64;
@@ -79,6 +93,9 @@ const SIDE: u32 = 64;
 /// transpose plus one shared cell and whose input-1 side is the tile
 /// itself: every cell has lineage in both directions on both inputs, and
 /// query cells share entries the way real lookups do.
+///
+/// Each tile also gets a one-byte payload pair, which only the payload
+/// store keeps.
 fn pairs() -> Vec<RegionPair> {
     let mut pairs = Vec::new();
     for tr in (0..SIDE).step_by(2) {
@@ -88,7 +105,11 @@ fn pairs() -> Vec<RegionPair> {
             incells.push(Coord::d2(0, 0));
             pairs.push(RegionPair::Full {
                 outcells: tile.clone(),
-                incells: vec![incells, tile],
+                incells: vec![incells, tile.clone()],
+            });
+            pairs.push(RegionPair::Payload {
+                outcells: tile,
+                payload: vec![tr as u8],
             });
         }
     }
@@ -111,6 +132,7 @@ fn warm_indexed_lookups_allocate_per_call_not_per_cell() {
     for (strategy, direction) in [
         (StorageStrategy::full_one(), Direction::Backward),
         (StorageStrategy::full_one_forward(), Direction::Forward),
+        (StorageStrategy::pay_one(), Direction::Backward),
     ] {
         let path = dir.join(format!("{}.kv", strategy.db_suffix()));
         let backend = FileBackend::open(&path).expect("open guard store");
@@ -132,6 +154,20 @@ fn warm_indexed_lookups_allocate_per_call_not_per_cell() {
         lookup(&small);
         let few = allocations_during(|| lookup(&small));
         let many = allocations_during(|| lookup(&large));
+        if strategy == StorageStrategy::pay_one() {
+            // Per query cell, the payload list, its payload and the mapped
+            // region, plus the answer sets' amortised growth (about one
+            // allocation per 80 cells here); reading the record must add
+            // nothing (a key and a value `Vec` per read would add 2).
+            let cells = 2 * (large.len() - small.len());
+            let bound = 3 * cells + cells / 32;
+            assert!(
+                many - few <= bound,
+                "PayOne: {} allocations for {cells} more query cells, over {bound}",
+                many - few
+            );
+            continue;
+        }
         // Both are a handful; what must not happen is growth with the query.
         const SLACK: usize = 4;
         assert!(

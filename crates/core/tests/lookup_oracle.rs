@@ -9,14 +9,19 @@
 //! pair per output cell.  Pairs with no output cells are ignored, as ingest
 //! ignores them.  `entries_fetched` depends on the layout and is pinned by
 //! `lookup_golden.rs` instead.
+//!
+//! Every strategy is checked on an in-memory store and on a file-backed
+//! one, in batches of up to 70 queries.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
 use proptest::prelude::*;
 use subzero::datastore::OpDatastore;
 use subzero::model::{Direction, StorageStrategy};
 use subzero_array::{Array, ArrayRef, CellSet, Coord, Shape};
 use subzero_engine::{LineageMode, LineageSink, OpMeta, Operator, RegionPair};
+use subzero_store::kv::FileBackend;
 
 /// Payload byte `r` means "depends on the radius-`r` neighbourhood of the
 /// output cell" in whichever input is asked about.
@@ -144,16 +149,31 @@ fn pair_strategy(rows: u32, cols: u32) -> impl Strategy<Value = RegionPair> {
 
 /// A small random shape (used for the output and both inputs), the pairs
 /// stored over it in two ingest batches split at the given index, and a
-/// batch of queries.
+/// batch of 1–70 queries: a scan join keeps one hit bit per query, so
+/// batches past 64 queries need a second mask word.
 fn workload() -> impl Strategy<Value = (Shape, Vec<RegionPair>, usize, Vec<Vec<Coord>>)> {
     (1u32..6, 1u32..6).prop_flat_map(|(rows, cols)| {
         (
             Just(Shape::d2(rows, cols)),
             prop::collection::vec(pair_strategy(rows, cols), 0..24),
             0usize..24,
-            prop::collection::vec(cells(rows, cols, 6), 1..5),
+            prop::collection::vec(cells(rows, cols, 6), 1..71),
         )
     })
+}
+
+/// A store of `strategy` in memory, or in a fresh log file under `dir`.
+/// A scan of the file log meets every live cell record after the entries
+/// it names; the in-memory table hands records out in hash order, so its
+/// scans also join cell records met before their entries.
+fn datastore(strategy: StorageStrategy, meta: &OpMeta, dir: Option<&Path>) -> OpDatastore {
+    let Some(dir) = dir else {
+        return OpDatastore::in_memory("oracle", strategy, meta);
+    };
+    let path = dir.join(format!("{}.kv", strategy.db_suffix()));
+    let _ = std::fs::remove_file(&path);
+    let backend = FileBackend::open(&path).expect("open oracle store");
+    OpDatastore::new("oracle", strategy, meta, Box::new(backend))
 }
 
 proptest! {
@@ -167,8 +187,13 @@ proptest! {
             .collect();
         let refs: Vec<&CellSet> = sets.iter().collect();
         let split = split.min(pairs.len());
-        for strategy in STRATEGIES.map(|s| s()) {
-            let mut ds = OpDatastore::in_memory("oracle", strategy, &meta);
+        let dir = std::env::temp_dir().join(format!("subzero-oracle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create oracle dir");
+        for (strategy, backing) in STRATEGIES
+            .iter()
+            .flat_map(|s| [(s(), None), (s(), Some(dir.as_path()))])
+        {
+            let mut ds = datastore(strategy, &meta, backing);
             ds.store_batch(&pairs[..split], 1);
             ds.store_batch(&pairs[split..], 1);
             let model = model_pairs(&pairs, strategy.mode, &op, &meta);
@@ -178,7 +203,10 @@ proptest! {
                     for (q, outcome) in outcomes.iter().enumerate() {
                         let query: BTreeSet<Coord> = queries[q].iter().copied().collect();
                         let (result, covered) = model_lookup(&model, direction, input_idx, &query);
-                        let case = format!("{strategy} {direction:?} input {input_idx} query {q}");
+                        let case = format!(
+                            "{strategy} {} {direction:?} input {input_idx} query {q}",
+                            if backing.is_some() { "file" } else { "memory" }
+                        );
                         prop_assert!(
                             outcome.result.to_coords() == result.into_iter().collect::<Vec<_>>(),
                             "{case}: result {:?}", outcome.result.to_coords()
@@ -191,5 +219,6 @@ proptest! {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,9 @@
 //! Memory guard for mismatched-direction scans.
 //!
 //! A lookup whose direction the store does not index scans the whole log,
-//! but it must not hold the whole log: the streamed join keeps one hit mask
-//! per entry (`⌈queries/64⌉` words plus a seen flag) and the answers, and
-//! nothing else that grows with the store.  A counting global allocator
+//! but it must not hold the whole log: the streamed join keeps two bits per
+//! entry (seen and hit), a mask per hit entry and per query cell, and the
+//! answers, and nothing else that grows with the store.  A counting global allocator
 //! tracks live and peak heap bytes and pins that bound on file-backed stores
 //! of more than 50 scan blocks, for both `Full` layouts.
 //!
@@ -149,9 +149,10 @@ fn check_scan(ds: &mut OpDatastore, meta: &OpMeta, case: &str) -> usize {
         "{case}"
     );
     let answer_cells: usize = outs.iter().map(|o| o.result.len()).sum();
+    // Two bits per entry; the masks of hit entries and query cells grow
+    // with the answers, not the store.
     let entries = PAIRS as usize;
-    let words = (QUERIES as usize).div_ceil(64);
-    let bound = entries * (8 * words + 1) + 16 * answer_cells + (1 << 20);
+    let bound = entries.div_ceil(4) + 16 * answer_cells + (1 << 18);
     assert!(
         peak <= bound,
         "{case}: the scan peaked at {peak} live bytes, over the bound of {bound}"

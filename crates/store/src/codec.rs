@@ -68,6 +68,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads an LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
     let mut shift = 0u32;

@@ -400,8 +400,8 @@ type LogIndex = FxHashMap<IndexKey, (u64, u32)>;
 /// hold no complete record — the end of the log, or a torn tail.
 fn next_record<'b>(buf: &'b [u8], pos: &mut usize) -> Option<(&'b [u8], &'b [u8])> {
     let mut at = *pos;
-    let klen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
-    let vlen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
+    let klen = read_record_len(buf, &mut at)?;
+    let vlen = read_record_len(buf, &mut at)?;
     let value_at = at.checked_add(klen)?;
     let end = value_at.checked_add(vlen)?;
     if end > buf.len() {
@@ -409,6 +409,21 @@ fn next_record<'b>(buf: &'b [u8], pos: &mut usize) -> Option<(&'b [u8], &'b [u8]
     }
     *pos = end;
     Some((&buf[at..value_at], &buf[value_at..end]))
+}
+
+/// One length varint of a record header.  A length below 128 — one byte,
+/// every key and most values — is read inline; any other byte takes
+/// [`read_varint`], which reads a one-byte varint the same way, so both
+/// paths accept and reject exactly the same bytes.
+#[inline]
+fn read_record_len(buf: &[u8], at: &mut usize) -> Option<usize> {
+    match buf.get(*at) {
+        Some(&byte) if byte < 0x80 => {
+            *at += 1;
+            Some(usize::from(byte))
+        }
+        _ => usize::try_from(read_varint(buf, at).ok()?).ok(),
+    }
 }
 
 /// Appends a record's `[key_len][value_len][key]` prefix to `buf`.
@@ -1587,6 +1602,56 @@ mod tests {
             }
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// [`next_record`] without its one-byte fast path: both lengths through
+    /// [`read_varint`].
+    fn next_record_by_varint<'b>(buf: &'b [u8], pos: &mut usize) -> Option<(&'b [u8], &'b [u8])> {
+        let mut at = *pos;
+        let klen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
+        let vlen = usize::try_from(read_varint(buf, &mut at).ok()?).ok()?;
+        let end = at.checked_add(klen)?.checked_add(vlen)?;
+        if end > buf.len() {
+            return None;
+        }
+        *pos = end;
+        Some((&buf[at..at + klen], &buf[at + klen..end]))
+    }
+
+    #[test]
+    fn record_header_fast_path_accepts_and_rejects_what_varints_do() {
+        // Every two-byte header, over tails cut on either side of the
+        // lengths it may name, and multi-byte, overlong, overflowing and
+        // truncated lengths.
+        let check = |buf: &[u8]| {
+            for start in 0..buf.len().min(2) + 1 {
+                let (mut fast, mut reference) = (start, start);
+                assert_eq!(
+                    next_record(buf, &mut fast),
+                    next_record_by_varint(buf, &mut reference),
+                    "{buf:02x?} from {start}"
+                );
+                assert_eq!(fast, reference, "{buf:02x?} from {start}");
+            }
+        };
+        check(&[]);
+        check(&[0x80, 0x00, 0x01, 0xaa]);
+        check(&[0x81, 0x80, 0x00, 0x00]);
+        check(&[0xff; 12]);
+        check(&[0x80; 11]);
+        check(&[
+            0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0,
+        ]);
+        let tail: Vec<u8> = (0..400u32).map(|i| (i * 37 + 1) as u8).collect();
+        let mut buf = Vec::new();
+        for cut in [0, 1, 2, 127, 128, 129, 255, 400] {
+            for header in 0..=u16::MAX {
+                buf.clear();
+                buf.extend_from_slice(&header.to_be_bytes());
+                buf.extend_from_slice(&tail[..cut]);
+                check(&buf);
+            }
+        }
     }
 
     /// A key of the positioned-read model: the id picks the fill byte and a
